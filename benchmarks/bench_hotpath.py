@@ -1,4 +1,4 @@
-"""Hot-path benchmark: batched/parallel EMS training vs the serial loops.
+"""Hot-path benchmark: stacked/pooled EMS training vs the serial oracles.
 
 Standalone (no pytest-benchmark dependency) so CI can run it with the
 tier-1 package set:
@@ -9,22 +9,24 @@ Measures, on one profile (default: 64 residences — small fleets are
 dominated by fixed per-minute Python overhead and do not show the
 batched engine's scaling):
 
-- greedy evaluation: per-step rollout vs the vectorized matrix rollout
-  (must be bit-identical; asserts the speedup floor);
+- greedy evaluation: the per-step rollout oracle vs the trainer's
+  vectorised matrix rollout (must be bit-identical; asserts the speedup
+  floor);
 - one training day, three ways:
-  * serial reference: per-agent Python ``observe()``/``learn_step()``;
-  * batched engine: stacked replay sampling + one stacked
-    forward/backward/Adam step per wave (device scope, bit-identical
-    to serial by contract — asserted);
+  * serial oracle: per-agent ``DQNAgent.run_episode`` with Python
+    ``observe()``/``learn_step()`` (``tests/ems_oracle.py``);
+  * stacked engine (the trainer's in-process path): stacked replay
+    sampling + one stacked forward/backward/Adam step per wave minute
+    (bit-identical to the oracle — asserted);
   * persistent worker pool: residence shards forked once, each worker
-    running the batched engine over a zero-copy shared-memory view of
-    the parameter arena; per-segment IPC is bounds out, rewards and
+    running the engine over a zero-copy shared-memory view of the
+    parameter arena; per-segment IPC is bounds out, rewards and
     counters back — no weight pickling in either direction
-    (bit-identical to serial in device scope — asserted).
+    (bit-identical to the oracle — asserted).
 
 Speedup floors (``--min-batched-speedup`` / ``--min-parallel-speedup``,
-default 1.0) make CI fail if either accelerated path regresses below
-the serial loop.  The committed ``BENCH_hotpath.json`` records the
+default 1.0) make CI fail if either path regresses below the serial
+oracle.  The committed ``BENCH_hotpath.json`` records the
 achieved numbers plus environment metadata (numpy version, CPU count)
 so a regression can be told apart from a slower machine.
 """
@@ -39,7 +41,9 @@ import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT))  # the serial oracles live in tests/
 
 import numpy as np  # noqa: E402
 
@@ -47,10 +51,11 @@ from repro.config import DQNConfig, FederationConfig  # noqa: E402
 from repro.core.pfdrl import PFDRLTrainer  # noqa: E402
 from repro.core.streams import build_streams  # noqa: E402
 from repro.data import generate_neighborhood  # noqa: E402
+from tests.ems_oracle import SerialTrainer, serial_evaluate  # noqa: E402
 
 
-def make_trainer(streams, args, **kwargs):
-    return PFDRLTrainer(
+def make_trainer(streams, args, trainer_cls=PFDRLTrainer, **kwargs):
+    return trainer_cls(
         streams,
         dqn_config=DQNConfig(
             learn_every=args.learn_every, hidden_width=args.hidden_width
@@ -124,17 +129,16 @@ def main(argv=None) -> int:
         f"{args.days} x {args.minutes_per_day}-min days ({n_pairs} agent pairs)"
     )
 
-    # --- training day: serial reference vs batched engine vs pool -------
-    serial = make_trainer(streams, args)
+    # --- training day: serial oracle vs stacked engine vs pool ----------
+    serial = make_trainer(streams, args, trainer_cls=SerialTrainer)
     t_train_serial, r_serial = timed(serial.run_day)
 
-    batched = make_trainer(streams, args, batched=True)
+    batched = make_trainer(streams, args)
     t_train_batched, r_batched = timed(batched.run_day)
-    assert r_batched == r_serial, "batched day result diverged from serial"
+    assert r_batched == r_serial, "engine day result diverged from serial"
 
-    # The pool workers run the batched engine over shared-memory arena
-    # views; device scope keeps the serial bit-identity contract.
-    parallel = make_trainer(streams, args, batched=True, n_workers=args.workers)
+    # The pool workers run the engine over shared-memory arena views.
+    parallel = make_trainer(streams, args, n_workers=args.workers)
     try:
         t_train_parallel, r_parallel = timed(parallel.run_day)
         assert r_parallel == r_serial, "sharded day result diverged from serial"
@@ -159,12 +163,8 @@ def main(argv=None) -> int:
     )
 
     # --- greedy evaluation: per-step rollout vs vectorized rollout ---
-    t_eval_serial, ev_serial = timed(
-        lambda: serial.evaluate(vectorized=False), args.repeats
-    )
-    t_eval_vec, ev_vec = timed(
-        lambda: serial.evaluate(vectorized=True), args.repeats
-    )
+    t_eval_serial, ev_serial = timed(lambda: serial_evaluate(serial), args.repeats)
+    t_eval_vec, ev_vec = timed(serial.evaluate, args.repeats)
     assert evaluations_equal(ev_serial, ev_vec), (
         "vectorized evaluation is not bit-identical to the per-step rollout"
     )

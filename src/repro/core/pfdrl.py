@@ -3,8 +3,10 @@
 One DQN agent per residence manages all of that residence's devices.
 Simulated time advances in hour-long episodes (one forecast horizon):
 for each hour, each residence runs one episode per device against
-:class:`repro.rl.env.DeviceEnv`.  Every γ hours the residences share
-their DQNs:
+:class:`repro.rl.env.DeviceEnv`.  The episodes run on the stacked
+engine (:class:`repro.rl.batch.BatchedEpisodeEngine`), which plays each
+agent's episodes in the serial order, bit for bit.  Every γ hours the
+residences share their DQNs:
 
 - ``sharing="personalized"`` (PFDRL): broadcast only the α base layers
   over the full mesh; each residence averages what it received with its
@@ -128,7 +130,6 @@ class PFDRLTrainer:
         seed: int = 0,
         fault_config: FaultConfig | None = None,
         telemetry: Telemetry | None = None,
-        batched: bool = False,
         n_workers: int = 1,
     ) -> None:
         if sharing not in SHARING_MODES:
@@ -148,12 +149,6 @@ class PFDRLTrainer:
         self.minutes_per_day = streams[0].minutes_per_day
         #: Episode length: one simulated hour.
         self.horizon = max(1, self.minutes_per_day // 24)
-        #: Batched hot path: step all (residence, device) envs minute-major
-        #: with one stacked Q-net forward per minute.  Bit-identical to the
-        #: serial loop in device scope; aggregate-equivalent (devices of a
-        #: residence interleave minute-major instead of running episode
-        #: after episode) in residence scope — hence opt-in.
-        self.batched = bool(batched)
         #: Process-parallel residence sharding for training segments
         #: (> 1 enables it; residences are independent between share
         #: rounds, so sharding is exact in both agent scopes).  The
@@ -398,45 +393,59 @@ class PFDRLTrainer:
     ) -> None:
         """Hour-long episodes per (residence, device) over [seg_lo, seg_hi).
 
-        Dispatches to the persistent-pool residence sharding when
-        ``n_workers > 1`` (and forking is available), to the
-        minute-major batched engine when ``batched``, and to the
-        reference serial loop otherwise.
+        Runs on the persistent-pool residence shards when
+        ``n_workers > 1`` (and forking is available), in-process on the
+        stacked engine otherwise.
         """
         if self.n_workers > 1 and len(self.streams) > 1 and fork_available():
             self._train_segment_parallel(seg_lo, seg_hi, rewards, optima)
-        elif self.batched:
-            self._train_segment_batched(seg_lo, seg_hi, rewards, optima)
         else:
-            self._train_segment_serial(seg_lo, seg_hi, rewards, optima)
+            seg_rewards, seg_optima = self._train_streams(
+                self._ensure_engine(), self.streams, seg_lo, seg_hi
+            )
+            rewards.extend(seg_rewards)
+            optima.extend(seg_optima)
 
-    def _episode_env(self, dev_stream, lo: int, hi: int) -> DeviceEnv:
-        chunk = dev_stream.slice(lo, hi)
-        return DeviceEnv(
-            chunk.predicted_kw,
-            chunk.real_kw,
-            chunk.on_kw,
-            chunk.standby_kw,
-            ground_truth_mode=chunk.mode,
-            device=chunk.device,
-        )
+    def _train_streams(
+        self,
+        engine: BatchedEpisodeEngine,
+        streams: list[ResidenceStream],
+        seg_lo: int,
+        seg_hi: int,
+    ) -> tuple[list[float], list[float]]:
+        """One engine chunk per hour of [seg_lo, seg_hi) over *streams*.
 
-    def _train_segment_serial(
-        self, seg_lo: int, seg_hi: int, rewards: list[float], optima: list[float]
-    ) -> None:
+        Each chunk pairs every (residence, device) with its agent key
+        and a fresh :class:`DeviceEnv`, in stream then device order.
+        Returns the episode rewards and optimal rewards in that order.
+        """
+        rewards: list[float] = []
+        optima: list[float] = []
         for lo in range(seg_lo, seg_hi, self.horizon):
             hi = min(lo + self.horizon, seg_hi)
             if hi - lo < 2:
                 continue
-            for stream in self.streams:
+            pairs = []
+            for stream in streams:
                 for dev_stream in stream.devices.values():
-                    agent = self.agent_for(stream.residence_id, dev_stream.device)
-                    env = self._episode_env(dev_stream, lo, hi)
-                    rewards.append(agent.run_episode(env, learn=True))
-                    optima.append(env.max_episode_reward())
+                    slot = "*" if self.agent_scope == "residence" else dev_stream.device
+                    chunk = dev_stream.slice(lo, hi)
+                    env = DeviceEnv(
+                        chunk.predicted_kw,
+                        chunk.real_kw,
+                        chunk.on_kw,
+                        chunk.standby_kw,
+                        ground_truth_mode=chunk.mode,
+                        device=chunk.device,
+                    )
+                    pairs.append(((stream.residence_id, slot), env))
+            chunk_rewards, chunk_optima = engine.run_chunk(pairs)
+            rewards.extend(chunk_rewards)
+            optima.extend(chunk_optima)
+        return rewards, optima
 
     def _ensure_engine(self, shared: bool = False) -> BatchedEpisodeEngine:
-        """Lazily build the batched engine (once per trainer).
+        """Lazily build the stacked engine (once per trainer).
 
         With ``shared=True`` the weight/target stacks are carved out of
         a :class:`SharedArena` so forked pool workers train on the same
@@ -459,34 +468,9 @@ class PFDRLTrainer:
                 self._arena = SharedArena(SharedArena.required_bytes(shapes))
                 allocator = self._arena.alloc
             self._engine = BatchedEpisodeEngine(
-                self._share_groups,
-                self._agents,
-                stacked_learn=self.batched,
-                allocator=allocator,
+                self._share_groups, self._agents, allocator=allocator
             )
         return self._engine
-
-    def _train_segment_batched(
-        self, seg_lo: int, seg_hi: int, rewards: list[float], optima: list[float]
-    ) -> None:
-        self._ensure_engine()
-        for lo in range(seg_lo, seg_hi, self.horizon):
-            hi = min(lo + self.horizon, seg_hi)
-            if hi - lo < 2:
-                continue
-            pairs = []
-            for stream in self.streams:
-                for dev_stream in stream.devices.values():
-                    slot = "*" if self.agent_scope == "residence" else dev_stream.device
-                    pairs.append(
-                        (
-                            (stream.residence_id, slot),
-                            self._episode_env(dev_stream, lo, hi),
-                        )
-                    )
-            chunk_rewards, chunk_optima = self._engine.run_chunk(pairs)
-            rewards.extend(chunk_rewards)
-            optima.extend(chunk_optima)
 
     def _ensure_pool(self) -> WorkerPool:
         """Fork the persistent worker pool on first use.
@@ -571,10 +555,9 @@ class PFDRLTrainer:
     ) -> None:
         """Train the segment on the persistent residence-shard workers.
 
-        Each worker steps its shard over ``[seg_lo, seg_hi)`` with the
-        same inner engine the single-process trainer would use (batched
-        waves when ``batched``, the serial reference loop otherwise).
-        Per-agent trajectories are identical; only the order of the
+        Each worker steps its shard over ``[seg_lo, seg_hi)`` through a
+        zero-copy view of the same stacked engine the single-process
+        trainer uses.  Per-agent trajectories are identical; only the order of the
         per-episode reward list changes (shard-major), which no consumer
         depends on (the day result reduces it to sums/means of exact
         Table-1 integers).  Weights come back through the shared arena;
@@ -842,18 +825,15 @@ class PFDRLTrainer:
 
     # ------------------------------------------------------------------
     def evaluate(
-        self,
-        eval_streams: list[ResidenceStream] | None = None,
-        vectorized: bool = True,
+        self, eval_streams: list[ResidenceStream] | None = None
     ) -> EMSEvaluation:
         """Greedy rollout over *eval_streams* (default: the training streams).
 
-        ``vectorized`` (the default) replaces the per-minute act/step
-        loop with one Q-net forward over each device's full state matrix
-        (:func:`repro.rl.batch.greedy_rollout`); the per-chunk metric
-        accumulation is shared with the serial reference path, so the
-        returned ``EMSEvaluation`` arrays are bit-identical either way
-        (pinned by tests and ``benchmarks/bench_hotpath.py``).
+        Each device's greedy policy is rolled out with one Q-net forward
+        over its full state matrix (:func:`repro.rl.batch.greedy_rollout`);
+        metrics then accumulate per hour chunk, so the returned arrays are
+        bit-identical to a per-minute ``DQNAgent.evaluate_episode`` rollout
+        of each chunk (pinned by tests and ``benchmarks/bench_hotpath.py``).
         """
         streams = eval_streams if eval_streams is not None else self.streams
         n_res = len(streams)
@@ -872,35 +852,16 @@ class PFDRLTrainer:
         for ri, stream in enumerate(streams):
             for dev_stream in stream.devices.values():
                 agent = self.agent_for(stream.residence_id, dev_stream.device)
-                if vectorized:
-                    _, controlled_all, rewards_min = greedy_rollout(
-                        agent.qnet, dev_stream
-                    )
-                    optimal = dev_stream.mode.astype(np.int64)
-                    optimal = np.where(optimal == 1, 0, optimal)  # kill standby
-                    opt_min = reward_vector(dev_stream.mode, optimal)
+                _, controlled_all, rewards_min = greedy_rollout(agent.qnet, dev_stream)
+                optimal = dev_stream.mode.astype(np.int64)
+                optimal = np.where(optimal == 1, 0, optimal)  # kill standby
+                opt_min = reward_vector(dev_stream.mode, optimal)
                 for lo in range(0, n_min, self.horizon):
                     hi = min(lo + self.horizon, n_min)
-                    if hi - lo < 1:
-                        continue
                     chunk = dev_stream.slice(lo, hi)
-                    if vectorized:
-                        controlled = controlled_all[lo:hi]
-                        r = float(rewards_min[lo:hi].sum())
-                        r_opt = float(opt_min[lo:hi].sum())
-                    else:
-                        env = DeviceEnv(
-                            chunk.predicted_kw,
-                            chunk.real_kw,
-                            chunk.on_kw,
-                            chunk.standby_kw,
-                            ground_truth_mode=chunk.mode,
-                            device=chunk.device,
-                        )
-                        r, controlled = agent.evaluate_episode(env)
-                        r_opt = env.max_episode_reward()
-                    rew[ri] += r
-                    opt[ri] += r_opt
+                    controlled = controlled_all[lo:hi]
+                    rew[ri] += float(rewards_min[lo:hi].sum())
+                    opt[ri] += float(opt_min[lo:hi].sum())
                     delta = chunk.real_kw - controlled
                     saved_kw[ri, lo:hi] += delta
                     standby_mask = chunk.mode == 1
@@ -941,9 +902,7 @@ class _ShardWorker:
         self.streams = [trainer.streams[i] for i in stream_indices]
         rids = {stream.residence_id for stream in self.streams}
         self.keys = sorted(key for key in trainer._agents if key[0] in rids)
-        self.engine = (
-            trainer._engine.shard_view(rids) if trainer.batched else None
-        )
+        self.engine = trainer._engine.shard_view(rids)
 
     def __call__(self, cmd: str, payload):
         trainer = self._trainer
@@ -963,43 +922,9 @@ class _ShardWorker:
         self, seg_lo: int, seg_hi: int
     ) -> tuple[list[float], list[float], dict]:
         trainer = self._trainer
-        rewards: list[float] = []
-        optima: list[float] = []
-        if self.engine is not None:
-            for lo in range(seg_lo, seg_hi, trainer.horizon):
-                hi = min(lo + trainer.horizon, seg_hi)
-                if hi - lo < 2:
-                    continue
-                pairs = []
-                for stream in self.streams:
-                    for dev_stream in stream.devices.values():
-                        slot = (
-                            "*"
-                            if trainer.agent_scope == "residence"
-                            else dev_stream.device
-                        )
-                        pairs.append(
-                            (
-                                (stream.residence_id, slot),
-                                trainer._episode_env(dev_stream, lo, hi),
-                            )
-                        )
-                chunk_rewards, chunk_optima = self.engine.run_chunk(pairs)
-                rewards.extend(chunk_rewards)
-                optima.extend(chunk_optima)
-        else:
-            for lo in range(seg_lo, seg_hi, trainer.horizon):
-                hi = min(lo + trainer.horizon, seg_hi)
-                if hi - lo < 2:
-                    continue
-                for stream in self.streams:
-                    for dev_stream in stream.devices.values():
-                        agent = trainer.agent_for(
-                            stream.residence_id, dev_stream.device
-                        )
-                        env = trainer._episode_env(dev_stream, lo, hi)
-                        rewards.append(agent.run_episode(env, learn=True))
-                        optima.append(env.max_episode_reward())
+        rewards, optima = trainer._train_streams(
+            self.engine, self.streams, seg_lo, seg_hi
+        )
         counters = {
             key: (
                 trainer._agents[key].learn_steps,

@@ -1,10 +1,10 @@
-"""Batched hot-path execution for the EMS training/evaluation loops.
+"""Stacked execution engine for EMS training and greedy evaluation.
 
 The trainer's inner loop is the repo's hottest path: every simulated
 minute does one Q-net forward per (residence, device) pair, each a
 batch-of-1 matrix product, and every learn trigger runs a full
-per-agent forward/backward/Adam step in Python.  This module batches
-both halves while keeping the per-agent semantics intact:
+per-agent forward/backward/Adam step.  This module stacks both halves
+across agents while keeping each agent's arithmetic intact:
 
 - :class:`StackedQNet` — a zero-copy *parameter arena* over N
   same-architecture Q-networks.  All weight mutations in this codebase
@@ -17,35 +17,33 @@ both halves while keeping the per-agent semantics intact:
   workers and the parent share the same physical weight pages;
   :meth:`StackedQNet.view` slices a contiguous row range for a worker's
   shard without copying anything.
-- :class:`StackedLearner` — the fully batched learn step.  Replay
-  rings, Adam moments, and counters are stacked the same way, so one
-  wave of transitions becomes one stacked push + one stacked
-  forward/backward + one :class:`repro.nn.optim.StackedAdam` step for
-  every triggered agent, instead of a Python ``observe()`` /
-  ``learn_step()`` per agent.
-- :class:`BatchedEpisodeEngine` — minute-major episode stepping over
-  many (agent, env) pairs, grouped into occurrence *waves* so each
-  batched replay/learn op touches each agent row at most once.  Policy
-  RNG draws and replay RNG draws stay per-agent and in per-agent order.
-- :func:`greedy_rollout` / :func:`train_residence_segment` — the
-  matrix-only greedy evaluation rollout and the picklable worker for
-  stateless process-pool residence sharding.
+- :class:`StackedLearner` — the batched learn step.  Replay rings,
+  Adam moments, and counters are stacked the same way, so one minute
+  of a wave becomes one stacked push + one stacked forward/backward +
+  one :class:`repro.nn.optim.StackedAdam` step for every triggered
+  agent.
+- :class:`BatchedEpisodeEngine` — episode-major stepping over many
+  (agent, env) pairs.  Pairs are grouped into occurrence *waves*
+  (wave k holds the k-th pair of every agent); each wave plays its
+  whole episode before the next starts, so every agent sees exactly
+  the serial ``DQNAgent.run_episode`` sequence.  Policy and replay RNG
+  draws stay per-agent and in per-agent order.
+- :func:`greedy_rollout` / :func:`schedule_rollout` — matrix-only
+  greedy evaluation rollouts.
 
-Bitwise-identity contract (verified by ``tests/test_rl_batch.py``):
-``np.matmul`` over stacked operands ``(M, B, d) @ (M, d, h)`` computes
-each item exactly as the serial ``(B, d) @ (d, h)`` product — and the
-same holds for the transposed backward products, ``sum``-reductions
-along the batch axis, and the stacked Adam update — so batched
-*training* (device scope) reproduces the serial loop bit-for-bit.  In
-residence scope a residence's devices interleave minute-major instead
-of running episode after episode, so the contract weakens to exact
-aggregate equivalence (same learn triggers, same counters, same
-broadcast schedule).  A single large gemm ``(T, d) @ (d, h)`` — used by
-greedy *evaluation* — is not row-bitwise-stable in general, but greedy
-evaluation only consumes ``argmax`` of the Q-rows and Table-1 rewards
-are exact integers, so the resulting ``EMSEvaluation`` arrays match the
-serial rollout bit-for-bit (asserted in tests and
-``benchmarks/bench_hotpath.py``).
+Bitwise-identity contract (verified by ``tests/test_rl_batch.py``
+against the serial oracle in ``tests/ems_oracle.py``): ``np.matmul``
+over stacked operands ``(M, B, d) @ (M, d, h)`` computes each item
+exactly as the serial ``(B, d) @ (d, h)`` product — and the same holds
+for the transposed backward products, ``sum``-reductions along the
+batch axis, and the stacked Adam update — and no agent's observation
+order changes, so training reproduces the serial per-agent loop
+bit-for-bit in both agent scopes.  A single large gemm
+``(T, d) @ (d, h)`` — used by greedy *evaluation* — is not
+row-bitwise-stable in general, but greedy evaluation only consumes
+``argmax`` of the Q-rows and Table-1 rewards are exact integers, so the
+resulting ``EMSEvaluation`` arrays match the per-step rollout
+bit-for-bit.
 """
 
 from __future__ import annotations
@@ -65,7 +63,6 @@ __all__ = [
     "BatchedEpisodeEngine",
     "greedy_rollout",
     "schedule_rollout",
-    "train_residence_segment",
 ]
 
 
@@ -271,6 +268,8 @@ class _StackedReplay:
     members at chunk boundaries.
     """
 
+    _FIELDS = ("_states", "_actions", "_rewards", "_next_states", "_dones")
+
     def __init__(self, buffers: list[ReplayBuffer]) -> None:
         ref = buffers[0]
         for buf in buffers[1:]:
@@ -278,17 +277,18 @@ class _StackedReplay:
                 raise ValueError("all stacked replay buffers must share one shape")
         self.buffers = list(buffers)
         self.capacity = ref.capacity
-        self._states = np.stack([b._states for b in buffers])
-        self._actions = np.stack([b._actions for b in buffers])
-        self._rewards = np.stack([b._rewards for b in buffers])
-        self._next_states = np.stack([b._next_states for b in buffers])
-        self._dones = np.stack([b._dones for b in buffers])
-        for i, buf in enumerate(buffers):
-            buf._states = self._states[i]
-            buf._actions = self._actions[i]
-            buf._rewards = self._rewards[i]
-            buf._next_states = self._next_states[i]
-            buf._dones = self._dones[i]
+        n = len(buffers)
+        # Zeroed stacks plus a copy of each member's live rows only: the
+        # untouched tail of a ring stays unwritten (and so unpaged), as
+        # it is in a member filling its own buffer.  Rows past ``_size``
+        # are never read before a push overwrites them.
+        for name in self._FIELDS:
+            ref_arr = getattr(ref, name)
+            stack = np.zeros((n,) + ref_arr.shape, dtype=ref_arr.dtype)
+            for i, buf in enumerate(buffers):
+                stack[i, : buf._size] = getattr(buf, name)[: buf._size]
+                setattr(buf, name, stack[i])
+            setattr(self, name, stack)
         self._heads = np.array([b._head for b in buffers], dtype=np.int64)
         self._sizes = np.array([b._size for b in buffers], dtype=np.int64)
 
@@ -388,12 +388,7 @@ class StackedLearner:
         self.qstack = qstack
         self.tstack = tstack
         self.replay = _StackedReplay([a.replay for a in agents])
-        # float32 moment storage is a config opt-in (off by default: the
-        # float64 arena keeps the bitwise serial-exact contract).
-        self.optim = StackedAdam(
-            [a.optimizer for a in agents],
-            moment_dtype=np.float32 if ref.float32_moments else np.float64,
-        )
+        self.optim = StackedAdam([a.optimizer for a in agents])
         self._learn_steps = np.array([a.learn_steps for a in agents], dtype=np.int64)
         self._sgd_steps = np.array([a.sgd_steps for a in agents], dtype=np.int64)
         self._observed = np.array([a._observed for a in agents], dtype=np.int64)
@@ -508,29 +503,26 @@ class StackedLearner:
 
 
 class BatchedEpisodeEngine:
-    """Minute-major batched episode stepping for a set of DQN agents.
+    """Episode-major stacked stepping for a set of DQN agents.
 
     Construction groups the agents exactly as the trainer's federation
     share groups do — one :class:`StackedQNet` per slot (``"*"`` in
     residence scope, one per device type in device scope) for both the
-    online and target networks, plus one :class:`StackedLearner` per
-    slot unless ``stacked_learn=False`` (then learning falls back to
-    per-agent ``observe()``).  The arena views stay bound for the
-    trainer's lifetime, so share rounds and checkpoint restores (both
-    in-place) need no re-sync.  ``allocator`` places the weight stacks
-    in shared memory for the persistent-pool training path;
-    :meth:`shard_view` then gives each forked worker a zero-copy slice.
+    online and target networks, plus one :class:`StackedLearner`.  The
+    arena views stay bound for the trainer's lifetime, so share rounds
+    and checkpoint restores (both in-place) need no re-sync.
+    ``allocator`` places the weight stacks in shared memory for the
+    persistent-pool training path; :meth:`shard_view` then gives each
+    forked worker a zero-copy slice.
     """
 
     def __init__(
         self,
         share_groups: list[list[tuple[int, str]]],
         agents: dict[tuple[int, str], DQNAgent],
-        stacked_learn: bool = True,
         allocator=None,
     ) -> None:
         self._agents = agents
-        self.stacked_learn = bool(stacked_learn)
         self._stacks: dict[str, StackedQNet] = {}
         self._targets: dict[str, StackedQNet] = {}
         self._learners: dict[str, StackedLearner] = {}
@@ -543,8 +535,7 @@ class BatchedEpisodeEngine:
             tstack = StackedQNet([m.target for m in members], allocator=allocator)
             self._stacks[slot] = qstack
             self._targets[slot] = tstack
-            if self.stacked_learn:
-                self._learners[slot] = StackedLearner(members, qstack, tstack)
+            self._learners[slot] = StackedLearner(members, qstack, tstack)
             self._groups[slot] = list(group)
             for i, key in enumerate(group):
                 self._row[key] = i
@@ -562,7 +553,6 @@ class BatchedEpisodeEngine:
         """
         rids = set(residence_ids)
         sub = object.__new__(BatchedEpisodeEngine)
-        sub.stacked_learn = self.stacked_learn
         sub._agents = {k: v for k, v in self._agents.items() if k[0] in rids}
         sub._stacks = {}
         sub._targets = {}
@@ -580,10 +570,9 @@ class BatchedEpisodeEngine:
                 )
             sub._stacks[slot] = StackedQNet.view(self._stacks[slot], lo, hi)
             sub._targets[slot] = StackedQNet.view(self._targets[slot], lo, hi)
-            if slot in self._learners:
-                sub._learners[slot] = StackedLearner.view(
-                    self._learners[slot], lo, hi, sub._stacks[slot], sub._targets[slot]
-                )
+            sub._learners[slot] = StackedLearner.view(
+                self._learners[slot], lo, hi, sub._stacks[slot], sub._targets[slot]
+            )
             subgroup = group[lo:hi]
             sub._groups[slot] = subgroup
             for i, key in enumerate(subgroup):
@@ -593,18 +582,18 @@ class BatchedEpisodeEngine:
     def run_chunk(
         self, pairs: list[tuple[tuple[int, str], DeviceEnv]]
     ) -> tuple[list[float], list[float]]:
-        """Step every (agent key, env) pair minute-major through one chunk.
+        """Play one episode per (agent key, env) pair, episode-major.
 
         All envs must share one horizon (aligned streams guarantee it).
-        Per pair, the observation order seen by its agent — act, step,
-        observe at t = 0..T-1 — is identical to the serial
-        ``run_episode`` loop; only the interleaving *between* pairs
-        changes.  Within a minute, a slot's pairs are processed in
-        occurrence waves (wave k holds the k-th pair of each agent), so
-        each wave touches each agent row at most once and the stacked
-        replay push + learn step is exact.  Returns (episode rewards,
-        optimal rewards) in pair order, matching the serial loop's
-        bookkeeping order.
+        Within a slot the pairs form occurrence waves — wave k holds the
+        k-th pair of each agent — and each wave plays its whole episode
+        before the next wave starts.  An agent's episodes therefore run
+        one after another in pair order, exactly as the serial
+        ``run_episode`` loop plays them, while every minute of a wave is
+        one stacked Q-net forward and one stacked replay push + learn
+        step (each agent row appears at most once per wave).  Returns
+        (episode rewards, optimal rewards) in pair order, matching the
+        serial loop's bookkeeping order.
         """
         if not pairs:
             return [], []
@@ -615,81 +604,56 @@ class BatchedEpisodeEngine:
         for learner in self._learners.values():
             learner.sync_in()
         horizon = pairs[0][1].horizon
-        # Group pair indices by slot so each group hits one stack.
-        by_slot: dict[str, list[int]] = {}
+        waves: dict[str, list[list[int]]] = {}
+        seen: dict[tuple[int, str], int] = {}
         for idx, (key, env) in enumerate(pairs):
             if env.horizon != horizon:
                 raise ValueError("all envs in a batched chunk must share one horizon")
-            by_slot.setdefault(key[1], []).append(idx)
-        states = [env.reset() for _, env in pairs]
-        totals = [0.0] * len(pairs)
-        state_dim = len(states[0])
-        plans = []
-        for slot, idxs in by_slot.items():
-            rows = [self._row[pairs[i][0]] for i in idxs]
-            sel = (
-                None
-                if rows == list(range(self._stacks[slot].n))
-                else np.asarray(rows)
-            )
-            seen: dict[int, int] = {}
-            waves: list[tuple[list, list]] = []
-            for bi, i in enumerate(idxs):
-                row = rows[bi]
-                w = seen.get(row, 0)
-                seen[row] = w + 1
-                if w == len(waves):
-                    waves.append(([], []))
-                key, env = pairs[i]
-                waves[w][0].append((i, bi, env, self._agents[key]))
-                waves[w][1].append(row)
-            plans.append(
-                (
-                    slot,
-                    idxs,
-                    sel,
-                    [(m, np.asarray(r, dtype=np.int64)) for m, r in waves],
-                    self._learners.get(slot),
-                )
-            )
-        for _ in range(horizon):
-            for slot, idxs, sel, waves, learner in plans:
-                q = self._stacks[slot].forward(
-                    np.stack([states[i] for i in idxs]), rows=sel
-                )
-                for members, wave_rows in waves:
-                    if learner is None:
-                        for i, bi, env, agent in members:
-                            action = agent.policy.select(q[bi])
-                            step = env.step(action)
-                            agent.observe(
-                                states[i], action, step.reward, step.state, step.done
-                            )
-                            totals[i] += step.reward
-                            states[i] = step.state
-                    else:
-                        k = len(members)
-                        s = np.empty((k, state_dim))
-                        a = np.empty(k, dtype=np.int64)
-                        r = np.empty(k)
-                        s2 = np.empty((k, state_dim))
-                        d = np.empty(k, dtype=bool)
-                        for bj, (i, bi, env, agent) in enumerate(members):
-                            action = agent.policy.select(q[bi])
-                            step = env.step(action)
-                            s[bj] = states[i]
-                            a[bj] = action
-                            r[bj] = step.reward
-                            s2[bj] = step.state
-                            d[bj] = step.done
-                            totals[i] += step.reward
-                            states[i] = step.state
-                        learner.observe_rows(wave_rows, s, a, r, s2, d)
+            w = seen.get(key, 0)
+            seen[key] = w + 1
+            slot_waves = waves.setdefault(key[1], [])
+            if w == len(slot_waves):
+                slot_waves.append([])
+            slot_waves[w].append(idx)
+        totals = np.zeros(len(pairs))
+        for slot, slot_waves in waves.items():
+            for idxs in slot_waves:
+                totals[idxs] = self._play_wave(slot, [pairs[i] for i in idxs], horizon)
         for learner in self._learners.values():
             learner.sync_out()
-        rewards = list(totals)
         optima = [env.max_episode_reward() for _, env in pairs]
-        return rewards, optima
+        return totals.tolist(), optima
+
+    def _play_wave(
+        self, slot: str, wave: list[tuple[tuple[int, str], DeviceEnv]], horizon: int
+    ) -> np.ndarray:
+        """Step one wave (distinct agents of *slot*) through its episode."""
+        stack = self._stacks[slot]
+        learner = self._learners[slot]
+        rows = np.array([self._row[key] for key, _ in wave], dtype=np.int64)
+        sel = None if np.array_equal(rows, np.arange(stack.n)) else rows
+        policies = [self._agents[key].policy for key, _ in wave]
+        envs = [env for _, env in wave]
+        k = len(wave)
+        states = np.stack([env.reset() for env in envs])
+        totals = np.zeros(k)
+        for _ in range(horizon):
+            q = stack.forward(states, rows=sel)
+            actions = np.empty(k, dtype=np.int64)
+            rewards = np.empty(k)
+            next_states = np.empty_like(states)
+            dones = np.empty(k, dtype=bool)
+            for j, (policy, env) in enumerate(zip(policies, envs)):
+                action = policy.select(q[j])
+                step = env.step(action)
+                actions[j] = action
+                rewards[j] = step.reward
+                next_states[j] = step.state
+                dones[j] = step.done
+            learner.observe_rows(rows, states, actions, rewards, next_states, dones)
+            totals += rewards
+            states = next_states
+        return totals
 
 
 def greedy_rollout(qnet, dev_stream) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -742,44 +706,3 @@ def schedule_rollout(qnet, envs) -> list[np.ndarray]:
                 still.append(i)
         active = still
     return [np.nan_to_num(env.controlled_kw) for env in envs]
-
-
-def train_residence_segment(
-    task: tuple[dict[str, DQNAgent], "object", int]
-) -> tuple[list[float], list[float], dict[str, dict]]:
-    """Process-pool worker: serial episode training over one residence.
-
-    ``task`` is ``(agents_by_slot, residence_segment, horizon)`` where
-    the segment is the residence's stream sliced to one share interval.
-    Residences are independent between share rounds, so sharding them
-    across processes is exact: each agent sees the same observation
-    sequence as in-process serial training.  Returns the per-episode
-    rewards, the optimal rewards, and each agent's full ``state_dict``
-    for the parent process to load back in place.
-
-    This is the *stateless* sharding worker (everything ships through
-    pickles each call); the persistent-pool path in
-    ``repro.core.pfdrl`` supersedes it for repeated segments.
-    """
-    agents, segment, horizon = task
-    rewards: list[float] = []
-    optima: list[float] = []
-    n = segment.n_minutes
-    for lo in range(0, n, horizon):
-        hi = min(lo + horizon, n)
-        if hi - lo < 2:
-            continue
-        for dev_stream in segment.devices.values():
-            agent = agents.get(dev_stream.device) or agents["*"]
-            chunk = dev_stream.slice(lo, hi)
-            env = DeviceEnv(
-                chunk.predicted_kw,
-                chunk.real_kw,
-                chunk.on_kw,
-                chunk.standby_kw,
-                ground_truth_mode=chunk.mode,
-                device=chunk.device,
-            )
-            rewards.append(agent.run_episode(env, learn=True))
-            optima.append(env.max_episode_reward())
-    return rewards, optima, {slot: agent.state_dict() for slot, agent in agents.items()}

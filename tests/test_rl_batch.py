@@ -1,31 +1,32 @@
-"""Tests for the batched hot-path execution engine (repro.rl.batch).
+"""Tests for the stacked execution engine (repro.rl.batch).
 
-Semantics-preservation contract:
+Semantics-preservation contract, checked against the serial oracles in
+``tests/ems_oracle.py``:
 
 - :class:`StackedQNet` forward is *bitwise* identical to each member
   network's own batch-of-1 forward (broadcast ``matmul`` computes each
   stacked item exactly as the serial product);
-- vectorized greedy evaluation returns bit-identical ``EMSEvaluation``
+- vectorised greedy evaluation returns bit-identical ``EMSEvaluation``
   arrays to the per-step rollout;
-- device-scope batched training is bit-identical to serial training
-  (per-agent observation order is unchanged);
-- residence-scope batched training is aggregate-equivalent (same work
-  and accounting; devices interleave minute-major);
-- process-parallel residence sharding is bit-identical to serial
-  training in either scope.
+- engine training is bit-identical to the serial per-agent loop in both
+  agent scopes, under every sharing mode, with faults and snapshot
+  recovery, under the two-tier hierarchy, and on pool workers
+  (episode-major waves keep every agent's observation order).
 """
 
 import numpy as np
 import pytest
 
-from repro.config import DQNConfig, FederationConfig
+from repro.config import DQNConfig, FaultConfig, FederationConfig, HierarchyConfig
 from repro.core.pfdrl import PFDRLTrainer
 from repro.core.streams import build_streams
 from repro.data import generate_neighborhood
-from repro.nn.optim import StackedAdam
 from repro.nn.serialization import get_weights
+from repro.parallel import fork_available
 from repro.rl.batch import BatchedEpisodeEngine, StackedQNet, greedy_rollout
 from repro.rl.dqn import DQNAgent
+from tests.ems_oracle import SerialTrainer, episode_env, serial_evaluate
+from tests.test_persist_state import deep_equal
 
 
 @pytest.fixture(scope="module")
@@ -45,15 +46,12 @@ def streams():
     return build_streams(ds)
 
 
-def make_trainer(streams, dqn_config, **kwargs):
+def make_trainer(streams, dqn_config, trainer_cls=PFDRLTrainer, **kwargs):
     kwargs.setdefault("sharing", "personalized")
-    return PFDRLTrainer(
-        streams,
-        dqn_config=dqn_config,
-        federation_config=FederationConfig(alpha=6, gamma_hours=6.0),
-        seed=0,
-        **kwargs,
+    kwargs.setdefault(
+        "federation_config", FederationConfig(alpha=6, gamma_hours=6.0)
     )
+    return trainer_cls(streams, dqn_config=dqn_config, seed=0, **kwargs)
 
 
 def assert_weights_equal(tr_a, tr_b):
@@ -145,9 +143,7 @@ class TestVectorizedEvaluation:
     def test_bit_identical_to_serial_rollout(self, streams, dqn_config, agent_scope):
         tr = make_trainer(streams, dqn_config, agent_scope=agent_scope)
         tr.run_day()  # trained weights, so argmax rows are non-trivial
-        assert_evaluations_equal(
-            tr.evaluate(vectorized=True), tr.evaluate(vectorized=False)
-        )
+        assert_evaluations_equal(tr.evaluate(), serial_evaluate(tr))
 
     def test_greedy_rollout_matches_env_semantics(self, streams, dqn_config):
         tr = make_trainer(streams, dqn_config)
@@ -167,10 +163,10 @@ class TestVectorizedEvaluation:
 
 class TestBatchedTraining:
     def test_device_scope_bit_identical(self, streams, dqn_config):
-        serial = make_trainer(streams, dqn_config, agent_scope="device")
-        batched = make_trainer(
-            streams, dqn_config, agent_scope="device", batched=True
+        serial = make_trainer(
+            streams, dqn_config, trainer_cls=SerialTrainer, agent_scope="device"
         )
+        batched = make_trainer(streams, dqn_config, agent_scope="device")
         for _ in range(2):
             ra = serial.run_day()
             rb = batched.run_day()
@@ -178,28 +174,9 @@ class TestBatchedTraining:
         assert_weights_equal(serial, batched)
         assert_evaluations_equal(serial.evaluate(), batched.evaluate())
 
-    def test_residence_scope_aggregate_equivalent(self, streams, dqn_config):
-        serial = make_trainer(streams, dqn_config)
-        batched = make_trainer(streams, dqn_config, batched=True)
-        ra = serial.run_day()
-        rb = batched.run_day()
-        # Same work and accounting: each agent sees the same number of
-        # observations (its devices' minutes), so learn triggers, share
-        # rounds and broadcast payloads line up exactly.
-        assert ra.sgd_steps == rb.sgd_steps
-        assert ra.n_broadcast_events == rb.n_broadcast_events
-        assert ra.params_broadcast == rb.params_broadcast
-        for key in serial._agents:
-            assert (
-                serial._agents[key]._observed == batched._agents[key]._observed
-            )
-        assert np.isfinite(rb.mean_reward)
-        ev = batched.evaluate()
-        assert np.isfinite(ev.saved_standby_kwh).all()
-
     def test_share_rounds_and_restore_keep_arena_bound(self, streams, dqn_config):
         """In-place share rounds and checkpoint restore must not detach views."""
-        tr = make_trainer(streams, dqn_config, agent_scope="device", batched=True)
+        tr = make_trainer(streams, dqn_config, agent_scope="device")
         tr.run_day()  # builds the engine, fires γ rounds
         snapshot = tr.state()
         tr.run_day()
@@ -209,10 +186,8 @@ class TestBatchedTraining:
             for i, qn in enumerate(stack.qnets):
                 for j, lin in enumerate(qn._linears):
                     assert lin.W.data.base is stack._weights[j]
-        # And the restored batched trainer replays day 2 identically.
-        reference = make_trainer(
-            streams, dqn_config, agent_scope="device", batched=True
-        )
+        # And the restored trainer replays day 2 identically.
+        reference = make_trainer(streams, dqn_config, agent_scope="device")
         reference.run_day()
         r_ref = reference.run_day()
         assert tr.run_day() == r_ref
@@ -221,7 +196,9 @@ class TestBatchedTraining:
 class TestParallelTraining:
     @pytest.mark.parametrize("agent_scope", ["residence", "device"])
     def test_two_workers_bit_identical_to_serial(self, streams, dqn_config, agent_scope):
-        serial = make_trainer(streams, dqn_config, agent_scope=agent_scope)
+        serial = make_trainer(
+            streams, dqn_config, trainer_cls=SerialTrainer, agent_scope=agent_scope
+        )
         sharded = make_trainer(
             streams, dqn_config, agent_scope=agent_scope, n_workers=2
         )
@@ -249,95 +226,90 @@ class TestEngineChunks:
         engine = BatchedEpisodeEngine([[(0, "*")]], agents)
         assert engine.run_chunk([]) == ([], [])
 
+    def test_waves_play_each_agents_episodes_in_serial_order(
+        self, streams, dqn_config
+    ):
+        """Several episodes per agent in one chunk (residence scope):
+        the engine must equal ``run_episode`` over the pairs in order."""
+        keys = [(s.residence_id, "*") for s in streams]
 
-class TestFloat32Moments:
-    """Opt-in float32 Adam moment storage (``DQNConfig.float32_moments``).
+        def fresh_agents():
+            return {key: DQNAgent(dqn_config, seed=10 + key[0]) for key in keys}
 
-    Halving the arena weakens the bitwise serial-exact contract to
-    tolerance-equivalence, so the flag is off by default; these tests
-    pin the tolerance, the dtype plumbing, and the checkpoint cast.
-    """
+        serial_agents, engine_agents = fresh_agents(), fresh_agents()
+        engine = BatchedEpisodeEngine([keys], engine_agents)
 
-    shapes = [(4, 2), (2,)]
+        def pairs(lo):
+            return [
+                ((s.residence_id, "*"), episode_env(d, lo, lo + 10))
+                for s in streams
+                for d in s.devices.values()
+            ]
 
-    def build(self, moment_dtype, n=3, seed=123):
-        from repro.nn.module import Parameter
-        from repro.nn.optim import Adam
+        for lo in range(0, 120, 10):
+            expected = [
+                serial_agents[key].run_episode(env, learn=True)
+                for key, env in pairs(lo)
+            ]
+            rewards, _ = engine.run_chunk(pairs(lo))
+            assert rewards == expected
+        for key in keys:
+            assert deep_equal(
+                engine_agents[key].state_dict(), serial_agents[key].state_dict()
+            )
 
-        rng = np.random.default_rng(seed)
-        inits = [[rng.standard_normal(s) for s in self.shapes] for _ in range(n)]
-        members = [
-            Adam([Parameter(w.copy()) for w in ws], lr=0.01) for ws in inits
-        ]
-        stacked = StackedAdam(members, moment_dtype=moment_dtype)
-        params = [
-            np.stack([m.params[k].data for m in members])
-            for k in range(len(self.shapes))
-        ]
-        return members, stacked, params
 
-    def run_steps(self, stacked, params, n_steps=50, seed=7):
-        rng = np.random.default_rng(seed)
-        for _ in range(n_steps):
-            grads = [rng.standard_normal((stacked.n, *s)) for s in self.shapes]
-            stacked.step(params, grads)
-        return params
-
-    def test_default_dtype_is_float64(self):
-        _, stacked, _ = self.build(np.float64)
-        assert all(m.dtype == np.float64 for m in stacked._m)
-        assert all(v.dtype == np.float64 for v in stacked._v)
-        assert DQNConfig().float32_moments is False
-
-    def test_float32_dtype_threads_to_slots(self):
-        members, stacked, _ = self.build(np.float32)
-        assert all(m.dtype == np.float32 for m in stacked._m)
-        assert all(v.dtype == np.float32 for v in stacked._v)
-        # member slot views share the stack rows, so they downcast too
-        for member in members:
-            assert all(m.dtype == np.float32 for m in member._m)
-
-    def test_invalid_dtype_rejected(self):
-        from repro.nn.module import Parameter
-        from repro.nn.optim import Adam
-
-        members = [Adam([Parameter(np.zeros(2))], lr=0.01)]
-        with pytest.raises(ValueError):
-            StackedAdam(members, moment_dtype=np.int32)
-
-    def test_float32_tracks_float64_within_tolerance(self):
-        _, s64, p64 = self.build(np.float64)
-        _, s32, p32 = self.build(np.float32)
-        self.run_steps(s64, p64)
-        self.run_steps(s32, p32)
-        for a, b in zip(p32, p64):
-            np.testing.assert_allclose(a, b, rtol=1e-4, atol=1e-6)
-        # ... but not bitwise: the cheaper arena really is in play.
-        assert any(not np.array_equal(a, b) for a, b in zip(p32, p64))
-
-    def test_checkpoint_round_trip_keeps_dtype(self):
-        members, stacked, params = self.build(np.float32)
-        self.run_steps(stacked, params, n_steps=10)
-        snaps = [m.state_dict() for m in members]
-
-        fresh_members, fresh_stacked, _ = self.build(np.float32)
-        for member, snap in zip(fresh_members, snaps):
-            member.load_state_dict(snap)
-        for k in range(len(self.shapes)):
-            assert fresh_stacked._m[k].dtype == np.float32
-            np.testing.assert_array_equal(fresh_stacked._m[k], stacked._m[k])
-            np.testing.assert_array_equal(fresh_stacked._v[k], stacked._v[k])
-
-    def test_config_flag_threads_through_batched_trainer(self, streams):
-        config = DQNConfig(
-            hidden_width=10, learning_rate=0.01, epsilon_decay_steps=200,
-            batch_size=8, memory_capacity=200, learn_every=2,
-            float32_moments=True,
+#: Fault and hierarchy cases act on personalized sharing only (the
+#: trainer drops them for the centralized and silent modes).
+FABRICS = {
+    "plain": {},
+    "faults": {
+        "fault_config": FaultConfig(
+            crash_rate=0.3, recovery_rate=0.7, recover_from_snapshot=True, seed=11
         )
-        trainer = make_trainer(streams, config, batched=True)
-        result = trainer.run_day()
-        assert np.isfinite(result.mean_reward)
-        learners = trainer._engine._learners
-        assert learners, "expected at least one stacked learner"
-        for learner in learners.values():
-            assert all(m.dtype == np.float32 for m in learner.optim._m)
+    },
+    "hierarchy": {
+        "federation_config": FederationConfig(
+            alpha=6,
+            gamma_hours=3.0,
+            hierarchy=HierarchyConfig(cluster_size=2, participation=0.5, seed=3),
+        )
+    },
+}
+MATRIX = [
+    (scope, sharing, fabric, n_workers)
+    for scope in ("residence", "device")
+    for sharing, fabrics in (
+        ("personalized", ("plain", "faults", "hierarchy")),
+        ("full", ("plain",)),
+        ("none", ("plain",)),
+    )
+    for fabric in fabrics
+    for n_workers in (1, 2)
+]
+
+
+class TestEngineOracle:
+    @pytest.mark.parametrize(
+        "scope,sharing,fabric,n_workers",
+        MATRIX,
+        ids=["-".join(map(str, case)) for case in MATRIX],
+    )
+    def test_bitwise_vs_serial_oracle(
+        self, streams, dqn_config, scope, sharing, fabric, n_workers
+    ):
+        if n_workers > 1 and not fork_available():
+            pytest.skip("worker pool needs the fork start method")
+        kwargs = dict(agent_scope=scope, sharing=sharing, **FABRICS[fabric])
+        oracle = make_trainer(streams, dqn_config, trainer_cls=SerialTrainer, **kwargs)
+        engine = make_trainer(streams, dqn_config, n_workers=n_workers, **kwargs)
+        try:
+            for _ in range(2):
+                assert engine.run_day() == oracle.run_day()
+            assert (engine._pool if n_workers > 1 else engine._engine) is not None
+            assert deep_equal(engine.state(), oracle.state())
+            assert_evaluations_equal(engine.evaluate(), oracle.evaluate())
+        finally:
+            engine.close()
+        if fabric == "faults":
+            assert oracle.bus.stats.n_restores >= 1
