@@ -7,9 +7,10 @@ tier-1 package set:
 
 Trains one small PFDRL system, checkpoints it, loads the checkpoint as
 an immutable :class:`repro.serve.ModelSnapshot`, then drives a seeded
-synthetic query load (``repro.serve.loadgen``) at several simulated
-fleet sizes (default 1k / 10k / 100k residences, round-robined onto the
-trained homes with jittered readings).  For each profile it measures:
+synthetic query load (``repro.serve.loadgen``) at several query counts
+(default 1k / 10k / 100k queries, cycled over the ``--residences``
+trained homes with jittered readings — queries, not distinct
+residences).  For each profile it measures:
 
 - **batched**: chunked :meth:`ServingEngine.answer_batch` — one
   vectorised matmul per chunk; reports wall QPS and p50/p99 per-query
@@ -29,8 +30,8 @@ contract in the concurrent shape.
 
 ``--min-speedup`` / ``--min-qps`` floors make CI fail on regression;
 the committed ``BENCH_serve.json`` records achieved numbers plus
-environment metadata so a regression can be told apart from a slower
-machine.
+environment metadata (CPU count, git SHA) so a regression can be told
+apart from a slower machine.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ import argparse
 import json
 import os
 import platform
+import subprocess
 import sys
 import tempfile
 import time
@@ -82,6 +84,19 @@ def build_config(args) -> PFDRLConfig:
     )
 
 
+def git_sha() -> str:
+    """HEAD of the checkout the bench runs from, ``-dirty`` when the tree
+    has uncommitted changes ("unknown" outside git)."""
+    try:
+        return subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
+            cwd=Path(__file__).resolve().parent,
+            capture_output=True, text=True, check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+
+
 def percentile(sorted_values: list[float], q: float) -> float:
     if not sorted_values:
         return float("nan")
@@ -97,7 +112,7 @@ def assert_equal_answers(batched, per_request, where: str) -> None:
 
 
 def run_profile(engine, watcher, store, config, n_queries, args):
-    """One fleet size: batched QPS + latency, mid-stream swap, baseline."""
+    """One query count: batched QPS + latency, mid-stream swap, baseline."""
     queries = make_queries(
         config, n_queries, trace_minutes=args.trace_minutes, seed=args.seed
     )
@@ -153,7 +168,8 @@ def run_profile(engine, watcher, store, config, n_queries, args):
         f"batched throughput {qps:.0f} q/s below the {args.min_qps} floor"
     )
     return {
-        "simulated_residences": n_queries,
+        "queries": n_queries,
+        "trained_residences": args.residences,
         "batches": len(chunks),
         "wall_s": round(wall, 4),
         "qps": round(qps, 1),
@@ -211,7 +227,7 @@ def main(argv=None) -> int:
     p.add_argument("--devices", default="tv,light")
     p.add_argument("--hidden-width", type=int, default=16)
     p.add_argument("--profiles", default="1000,10000,100000",
-                   help="comma-separated simulated fleet sizes")
+                   help="comma-separated query counts per profile")
     p.add_argument("--trace-minutes", type=int, default=None,
                    help="minutes per query trace (default: loadgen's)")
     p.add_argument("--batch-size", type=int, default=256,
@@ -254,6 +270,7 @@ def main(argv=None) -> int:
             "numpy": np.__version__,
             "python": platform.python_version(),
             "cpu_count": os.cpu_count(),
+            "git_sha": git_sha(),
         },
         "model_profile": {
             "residences": args.residences,

@@ -30,6 +30,8 @@ __all__ = [
     "DeviceNominals",
     "ControllerStats",
     "forecast_block",
+    "forecast_inputs",
+    "model_blocks",
 ]
 
 
@@ -45,6 +47,56 @@ class DeviceNominals:
             raise ValueError("need on_kw > 0 and standby_kw >= 0")
 
 
+def forecast_inputs(
+    forecaster: Forecaster,
+    readings,
+    nominals: DeviceNominals,
+    ends,
+    phases,
+    minutes_per_day: int,
+) -> tuple[list, np.ndarray]:
+    """Inputs of the horizon blocks forecast after ``readings[:end]``.
+
+    This is the refresh rule of the online minute loop, shared by
+    :func:`forecast_block` (one block at a time, as the controller
+    streams) and the batched serving path (:mod:`repro.serve`, every
+    block of a query at once), so both feed the model the same rows.
+    *ends* must be ascending; ``phases[k]`` is the absolute minute of
+    block k's first target (minutes done plus the controller's ``t0``).
+
+    While a block's history ``readings[:end]`` is shorter than the lag
+    window it falls back to persistence: the last reading, or the
+    standby level before any reading.  Afterwards its model row is the
+    normalised window plus the time features of its phase.  Returns
+    ``(levels, X)``: one persistence level per leading fallback block,
+    then one row of ``X`` per remaining block.
+    """
+    window = forecaster.window
+    levels = [
+        readings[end - 1] if end else nominals.standby_kw
+        for end in ends
+        if end < window
+    ]
+    model_ends = ends[len(levels):]
+    windows = np.asarray(
+        [readings[end - window : end] for end in model_ends], dtype=np.float64
+    ).reshape(len(model_ends), window)
+    X = normalize_power(windows, nominals.on_kw)
+    if forecaster.n_extra:
+        X = augment_time_features(
+            X,
+            phases[len(levels):],
+            minutes_per_day,
+            harmonics=forecaster.n_extra // 2,
+        )
+    return levels, X
+
+
+def model_blocks(raw: np.ndarray, nominals: DeviceNominals) -> np.ndarray:
+    """Model outputs (normalised) -> per-minute forecasts in kW."""
+    return np.clip(raw, 0.0, None) * nominals.on_kw
+
+
 def forecast_block(
     forecaster: Forecaster,
     history,
@@ -55,27 +107,19 @@ def forecast_block(
 ) -> tuple[np.ndarray, bool]:
     """One horizon block of per-minute forecasts (kW) at a boundary.
 
-    This is the exact refresh rule of the online minute loop, shared by
-    :class:`OnlineController` and the batched serving path
-    (:mod:`repro.serve`) so both produce bit-identical forecasts: until
-    a full lag window of *history* exists, fall back to persistence (the
-    last reading, or the standby level before any reading); afterwards
-    run one model prediction on the normalised window with the
-    controller's time-feature phase (``minutes_done`` minutes past
-    ``t0``).  Returns ``(block_kw, used_model)``.
+    The controller's refresh step: :func:`forecast_inputs` for the one
+    block after *history*, at the time-feature phase ``minutes_done``
+    minutes past ``t0``, then one :meth:`Forecaster.predict_rows` row —
+    the call serving batches, so a row answers the same in both.
+    Returns ``(block_kw, used_model)``.
     """
-    if len(history) < forecaster.window:
-        last = history[-1] if len(history) else nominals.standby_kw
-        return np.full(forecaster.horizon, last), False
-    window = normalize_power(np.asarray(history[-forecaster.window:]), nominals.on_kw)
-    X = window[None, :]
-    if forecaster.n_extra:
-        offsets = np.asarray([minutes_done])
-        X = augment_time_features(
-            X, offsets, minutes_per_day, t0=t0, harmonics=forecaster.n_extra // 2
-        )
-    pred = np.clip(forecaster.predict(X)[0], 0.0, None) * nominals.on_kw
-    return pred, True
+    levels, X = forecast_inputs(
+        forecaster, history, nominals, [len(history)], [minutes_done + t0],
+        minutes_per_day,
+    )
+    if levels:
+        return np.full(forecaster.horizon, levels[0]), False
+    return model_blocks(forecaster.predict_rows(X), nominals)[0], True
 
 
 @dataclass

@@ -19,6 +19,9 @@ class Forecaster(abc.ABC):
       rounds meaningful).
     - ``predict(X)`` maps ``(n, window)`` features to ``(n, horizon)``
       predictions.
+    - ``predict_rows(X)`` is the serving form of ``predict``: row ``i``
+      is bit-identical to ``predict(X[i:i+1])[0]`` whatever the rest of
+      the batch holds, and the call writes no attribute of the model.
     - ``get_weights()`` / ``set_weights()`` expose the parameters that go
       on the wire in the DFL broadcast, in a stable order.
     - ``clone()`` builds a fresh untrained model with identical
@@ -73,6 +76,19 @@ class Forecaster(abc.ABC):
     @abc.abstractmethod
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Predict ``(n, horizon)`` outputs for ``(n, window)`` inputs."""
+
+    def predict_rows(self, X: np.ndarray) -> np.ndarray:
+        """Row-exact, stateless :meth:`predict` (see the class contract).
+
+        This default answers one row at a time, so any forecaster is
+        correct; the built-in models override it with one pass over the
+        whole batch.
+        """
+        X = self._check_X(X)
+        out = np.empty((X.shape[0], self.horizon))
+        for i in range(X.shape[0]):
+            out[i] = self.predict(X[i : i + 1])[0]
+        return out
 
     @abc.abstractmethod
     def get_weights(self) -> list[np.ndarray]:

@@ -11,6 +11,7 @@ import numpy as np
 
 from repro.forecast.base import Forecaster
 from repro.nn import MLP, MSELoss, SGD
+from repro.nn.linear import row_matmul
 from repro.nn.serialization import get_weights, set_weights
 from repro.rng import as_generator, generator_state, restore_generator
 
@@ -72,6 +73,15 @@ class BPForecaster(Forecaster):
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = self._check_X(X)
         return self.model.forward(X)
+
+    def predict_rows(self, X: np.ndarray) -> np.ndarray:
+        h = self._check_X(X)
+        layers = self.model.hidden_layer_groups()
+        for j, (W, b) in enumerate(layers):
+            h = row_matmul(h, W.data) + b.data
+            if j < len(layers) - 1:
+                h = np.where(h > 0, h, 0.0)  # ReLU, as in nn.activations
+        return h
 
     # ------------------------------------------------------------------
     def get_weights(self) -> list[np.ndarray]:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.forecast.base import Forecaster
+from repro.nn.linear import row_matmul
 
 __all__ = ["LinearRegressionForecaster"]
 
@@ -86,6 +87,9 @@ class LinearRegressionForecaster(Forecaster):
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = self._check_X(X)
         return self._design(X) @ self.W
+
+    def predict_rows(self, X: np.ndarray) -> np.ndarray:
+        return row_matmul(self._design(self._check_X(X)), self.W)
 
     # ------------------------------------------------------------------
     @property

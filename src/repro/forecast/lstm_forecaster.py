@@ -84,6 +84,9 @@ class LSTMForecaster(Forecaster):
         X = self._check_X(X)
         return self.model.forward(self._to_sequence(X))
 
+    def predict_rows(self, X: np.ndarray) -> np.ndarray:
+        return self.model.forward_rows(self._to_sequence(self._check_X(X)))
+
     # ------------------------------------------------------------------
     def get_weights(self) -> list[np.ndarray]:
         return get_weights(self.model)

@@ -19,6 +19,7 @@ import numpy as np
 
 from repro.forecast.base import Forecaster
 from repro.forecast.svr import SVRForecaster
+from repro.nn.linear import row_matmul
 from repro.rng import as_generator
 
 __all__ = ["RFFSVRForecaster"]
@@ -103,6 +104,12 @@ class RFFSVRForecaster(Forecaster):
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self._head.predict(self.transform(X))
+
+    def predict_rows(self, X: np.ndarray) -> np.ndarray:
+        Z = np.sqrt(2.0 / self.n_features) * np.cos(
+            row_matmul(self._check_X(X), self._omega) + self._phase
+        )
+        return self._head.predict_rows(Z)
 
     # ------------------------------------------------------------------
     def get_weights(self) -> list[np.ndarray]:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.forecast.base import Forecaster
+from repro.nn.linear import row_matmul
 from repro.rng import as_generator, generator_state, restore_generator
 
 __all__ = ["SVRForecaster"]
@@ -86,6 +87,9 @@ class SVRForecaster(Forecaster):
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = self._check_X(X)
         return X @ self.W + self.b
+
+    def predict_rows(self, X: np.ndarray) -> np.ndarray:
+        return row_matmul(self._check_X(X), self.W) + self.b
 
     # ------------------------------------------------------------------
     def get_weights(self) -> list[np.ndarray]:

@@ -19,7 +19,7 @@ sequential dependency).
 """
 
 from repro.nn.module import Module, Parameter, Sequential
-from repro.nn.linear import Linear
+from repro.nn.linear import Linear, row_matmul
 from repro.nn.activations import Identity, ReLU, Sigmoid, Tanh
 from repro.nn.mlp import MLP
 from repro.nn.lstm import LSTM, LSTMRegressor
@@ -42,6 +42,7 @@ __all__ = [
     "Parameter",
     "Sequential",
     "Linear",
+    "row_matmul",
     "ReLU",
     "Tanh",
     "Sigmoid",

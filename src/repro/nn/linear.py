@@ -8,7 +8,20 @@ from repro.nn.init import he_uniform, xavier_uniform
 from repro.nn.module import Module, Parameter
 from repro.rng import as_generator
 
-__all__ = ["Linear"]
+__all__ = ["Linear", "row_matmul"]
+
+
+def row_matmul(x: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """``x @ W`` computed one row at a time: ``(B, d) @ (d, h) -> (B, h)``.
+
+    Row ``i`` of the result is bit-identical to ``x[i:i+1] @ W``, whatever
+    the other rows hold.  A single ``(B, d) @ (d, h)`` gemm does not give
+    that guarantee — its blocking can sum a row's products in another
+    order than the batch-of-1 product does, off in the last bits.  The
+    broadcast form ``(B, 1, d) @ (d, h)`` runs the batch-of-1 kernel on
+    every row (the same contract ``repro.rl.batch.StackedQNet`` relies on).
+    """
+    return np.matmul(x[:, None, :], W)[:, 0, :]
 
 
 class Linear(Module):

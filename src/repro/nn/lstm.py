@@ -10,6 +10,10 @@ Shapes
 Input  ``x``: ``(B, T, F)`` — batch, time, features.
 Output: ``(B, H)`` (last hidden state) or ``(B, T, H)`` when
 ``return_sequences=True``.
+
+``forward`` caches every step for ``backward`` (training);
+``forward_rows`` is the inference path: stateless, and row-exact — each
+row of a batch gets the bits a batch of one would.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.init import orthogonal, xavier_uniform
-from repro.nn.linear import Linear
+from repro.nn.linear import Linear, row_matmul
 from repro.nn.module import Module, Parameter
 from repro.rng import as_generator, spawn
 
@@ -70,7 +74,7 @@ class LSTM(Module):
         return [self.Wx, self.Wh, self.b]
 
     # ------------------------------------------------------------------
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def _check_input(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim == 2:  # (T, F) convenience -> batch of 1
             x = x[None, :, :]
@@ -78,6 +82,24 @@ class LSTM(Module):
             raise ValueError(
                 f"expected input (B, T, {self.input_size}), got {x.shape}"
             )
+        return x
+
+    def _cell(self, z: np.ndarray, c_prev: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Gates and new state from the pre-activations ``z`` of one step.
+
+        Returns ``(i, f, g, o, c, tanh(c), h)``.
+        """
+        H = self.hidden_size
+        i = _sigmoid(z[:, :H])
+        f = _sigmoid(z[:, H : 2 * H])
+        g = np.tanh(z[:, 2 * H : 3 * H])
+        o = _sigmoid(z[:, 3 * H :])
+        c = f * c_prev + i * g
+        tc = np.tanh(c)
+        return i, f, g, o, c, tc, o * tc
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        x = self._check_input(x)
         B, T, _ = x.shape
         H = self.hidden_size
 
@@ -87,19 +109,35 @@ class LSTM(Module):
         cache_steps = []
         for t in range(T):
             z = x[:, t, :] @ self.Wx.data + h @ self.Wh.data + self.b.data
-            i = _sigmoid(z[:, :H])
-            f = _sigmoid(z[:, H : 2 * H])
-            g = np.tanh(z[:, 2 * H : 3 * H])
-            o = _sigmoid(z[:, 3 * H :])
-            c_prev = c
-            c = f * c_prev + i * g
-            tc = np.tanh(c)
-            h_prev = h
-            h = o * tc
+            c_prev, h_prev = c, h
+            i, f, g, o, c, tc, h = self._cell(z, c_prev)
             hs[:, t, :] = h
             cache_steps.append((i, f, g, o, c_prev, tc, h_prev))
         self._cache = {"x": x, "steps": cache_steps, "B": B, "T": T}
         return hs if self.return_sequences else h
+
+    def forward_rows(self, x: np.ndarray) -> np.ndarray:
+        """Inference forward, row-exact and stateless.
+
+        Row ``i`` of the output is bit-identical to
+        ``forward(x[i:i+1])[0]`` whatever the other rows hold (every
+        product is a :func:`~repro.nn.linear.row_matmul`), and nothing
+        is cached, so it is safe on a shared read-only model.
+        """
+        x = self._check_input(x)
+        B, T, _ = x.shape
+        h = np.zeros((B, self.hidden_size))
+        c = np.zeros((B, self.hidden_size))
+        hs = []
+        for t in range(T):
+            z = (
+                row_matmul(x[:, t, :], self.Wx.data)
+                + row_matmul(h, self.Wh.data)
+                + self.b.data
+            )
+            _, _, _, _, c, _, h = self._cell(z, c)
+            hs.append(h)
+        return np.stack(hs, axis=1) if self.return_sequences else h
 
     # ------------------------------------------------------------------
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -202,6 +240,12 @@ class LSTMRegressor(Module):
         for layer in self.layers:
             x = layer.forward(x)
         return self.head.forward(x)
+
+    def forward_rows(self, x: np.ndarray) -> np.ndarray:
+        """Row-exact, stateless :meth:`forward` (see :meth:`LSTM.forward_rows`)."""
+        for layer in self.layers:
+            x = layer.forward_rows(x)
+        return row_matmul(x, self.head.W.data) + self.head.b.data
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         grad = self.head.backward(grad_out)

@@ -1,12 +1,12 @@
 """Seeded query load generator for the serving layer.
 
-Simulates ``n`` residences querying for their next-hour schedule: each
-simulated residence maps onto a trained residence of the snapshot's
-config (round-robin), with its metered readings drawn from a freshly
-generated day and jittered per query (random day offset + per-device
-scale), so a 100k-residence load test exercises realistic, distinct
-traces without training 100k homes.  Fully deterministic given
-``seed`` — the bench, the CLI demo and the tests all share it.
+Generates ``n`` next-hour schedule queries cycled over the trained
+residences of the snapshot's config (query ``i`` asks for residence
+``i % n_residences``).  Each query's metered readings are drawn from a
+freshly generated day and jittered per query (random day offset +
+per-device scale), so a 100k-query load test exercises realistic,
+distinct traces over a handful of trained homes.  Fully deterministic
+given ``seed`` — the bench, the CLI demo and the tests all share it.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ def iter_queries(
     trace_minutes: int | None = None,
     seed: int = 0,
 ) -> Iterator[ScheduleQuery]:
-    """Yield *n_queries* deterministic simulated-residence queries."""
+    """Yield *n_queries* deterministic queries over the trained residences."""
     if n_queries < 1:
         raise ValueError("n_queries must be >= 1")
     trace_minutes = trace_minutes or default_trace_minutes(config)

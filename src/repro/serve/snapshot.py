@@ -10,10 +10,14 @@ vectorised greedy path, bit-identical to streaming the same readings
 through an :class:`repro.core.OnlineController` built from the same
 checkpoint:
 
-- per device, forecasts refresh block-by-block with the *exact*
-  controller rule (:func:`repro.core.controller.forecast_block` —
-  persistence until a full lag window exists, then one model prediction
-  per horizon boundary);
+- per device, forecast blocks follow the controller's refresh rule
+  (:func:`repro.core.controller.forecast_inputs` — persistence until a
+  full lag window exists, then one model row per horizon boundary);
+  a block depends only on the query's own readings, so every model row
+  of a batch is known up front and each (residence, device) forecaster
+  answers all of its rows in one
+  :meth:`~repro.forecast.base.Forecaster.predict_rows` pass — row-exact,
+  so each row carries the bits of the controller's batch-of-1 call;
 - actions come from one broadcast matmul over ``(M, T, state_dim)``
   stacked states followed by ``argmax`` — the repo's pinned
   gemm-argmax ≡ per-minute-argmax contract (see ``repro.rl.batch``);
@@ -24,8 +28,10 @@ Immutability is enforced, not advisory: every weight stack, every
 member-parameter view and every forecaster array is marked
 non-writeable, so an accidental in-place update (a stray ``set_weights``
 or optimizer step against a serving snapshot) raises instead of
-corrupting in-flight queries.  Hot-swap therefore never mutates — a new
-checkpoint becomes a *new* snapshot and the engine repoints atomically.
+corrupting in-flight queries; serving itself writes no attribute of a
+model (``predict_rows`` is stateless).  Hot-swap therefore never
+mutates — a new checkpoint becomes a *new* snapshot and the engine
+repoints atomically.
 """
 
 from __future__ import annotations
@@ -36,7 +42,12 @@ from typing import Mapping
 import numpy as np
 
 from repro.config import PFDRLConfig
-from repro.core.controller import DeviceNominals, OnlineController, forecast_block
+from repro.core.controller import (
+    DeviceNominals,
+    OnlineController,
+    forecast_inputs,
+    model_blocks,
+)
 from repro.core.system import config_digest
 from repro.data.generator import generate_neighborhood
 from repro.federated.dfl import DFLClient
@@ -328,15 +339,26 @@ class ModelSnapshot:
     def schedule(self, queries: list[ScheduleQuery]) -> list[ScheduleAnswer]:
         """Answer a batch of queries through the vectorised greedy path.
 
-        Forecast blocks are computed per (query, device) with the exact
-        controller refresh rule; all per-minute Q evaluations across the
-        whole batch then collapse into one broadcast matmul per aligned
-        trace length.
+        Every forecast block depends only on a query's own readings, so
+        the whole batch's model work is known up front:
+
+        1. each (query, device) trace is validated and cut into horizon
+           blocks by :func:`~repro.core.controller.forecast_inputs`
+           (persistence levels, then model rows);
+        2. the model rows are grouped by forecaster — one per
+           (residence, device) — and each group runs one
+           :meth:`~repro.forecast.base.Forecaster.predict_rows` pass,
+           whose rows are bit-identical to the controller's batch-of-1
+           calls;
+        3. the forecasts are scattered back, and all per-minute Q
+           evaluations across the batch collapse into one broadcast
+           matmul + argmax per distinct trace length.
         """
-        # (trace length) -> list of (query idx, device idx, row, states)
-        groups: dict[int, list[tuple[int, int, int, np.ndarray]]] = {}
-        prepared: list[list[tuple[str, np.ndarray, np.ndarray, DeviceNominals]]] = []
-        for qi, query in enumerate(queries):
+        # Per query: (device, real, predicted, nominals, stack row) per device.
+        prepared: list[list[tuple]] = []
+        # id(forecaster) -> (forecaster, input blocks, scatter targets)
+        by_model: dict[int, tuple[object, list, list]] = {}
+        for query in queries:
             res = self._residence(query.residence_id)
             if set(query.readings) != set(res.forecasters):
                 raise ValueError(
@@ -350,7 +372,7 @@ class ModelSnapshot:
             (n_minutes,) = lengths
             if n_minutes < 1:
                 raise ValueError("query readings must cover at least one minute")
-            devs: list[tuple[str, np.ndarray, np.ndarray, DeviceNominals]] = []
+            devs = []
             for device in query.readings:
                 real = np.asarray(query.readings[device], dtype=np.float64)
                 if real.ndim != 1:
@@ -359,23 +381,40 @@ class ModelSnapshot:
                     raise ValueError(f"negative reading for {device!r}")
                 fc = res.forecasters[device]
                 nom = res.nominals[device]
+                starts = np.arange(0, n_minutes, fc.horizon)
+                levels, X = forecast_inputs(
+                    fc, real, nom, starts, starts + query.t0, self.minutes_per_day
+                )
+                first_model = len(levels) * fc.horizon
                 predicted = np.empty(n_minutes)
-                for lo in range(0, n_minutes, fc.horizon):
-                    block, _ = forecast_block(
-                        fc, real[:lo], nom, lo, self.minutes_per_day, t0=query.t0
-                    )
-                    predicted[lo : lo + fc.horizon] = block[
-                        : min(fc.horizon, n_minutes - lo)
-                    ]
+                predicted[:first_model] = np.repeat(levels, fc.horizon)[:n_minutes]
+                if len(X):
+                    _, inputs, targets = by_model.setdefault(id(fc), (fc, [], []))
+                    inputs.append(X)
+                    targets.append((predicted, first_model, nom))
+                row = self.row_for(query.residence_id, device)
+                devs.append((device, real, predicted, nom, row))
+            prepared.append(devs)
+
+        # One row-exact forecaster pass per model; blocks tile each trace.
+        for fc, inputs, targets in by_model.values():
+            out = fc.predict_rows(np.concatenate(inputs))
+            k = 0
+            for (predicted, first_model, nom), X in zip(targets, inputs):
+                blocks = model_blocks(out[k : k + len(X)], nom)
+                k += len(X)
+                predicted[first_model:] = blocks.reshape(-1)[
+                    : len(predicted) - first_model
+                ]
+
+        # (trace length) -> list of (query idx, device idx, row, states)
+        groups: dict[int, list[tuple[int, int, int, np.ndarray]]] = {}
+        for qi, devs in enumerate(prepared):
+            for di, (device, real, predicted, nom, row) in enumerate(devs):
                 states = build_states(
                     predicted, real, nom.on_kw, nom.standby_kw, device
                 )
-                row = self.row_for(query.residence_id, device)
-                groups.setdefault(n_minutes, []).append(
-                    (qi, len(devs), row, states)
-                )
-                devs.append((device, real, predicted, nom))
-            prepared.append(devs)
+                groups.setdefault(len(real), []).append((qi, di, row, states))
 
         # One stacked forward + argmax per distinct trace length.
         actions_by_item: dict[tuple[int, int], np.ndarray] = {}
@@ -393,7 +432,7 @@ class ModelSnapshot:
             predicted_kw: dict[str, np.ndarray] = {}
             controlled_kw: dict[str, np.ndarray] = {}
             saved = 0.0
-            for di, (device, real, predicted, nom) in enumerate(prepared[qi]):
+            for di, (device, real, predicted, nom, _) in enumerate(prepared[qi]):
                 a = actions_by_item[(qi, di)]
                 controlled = apply_actions(a, real, nom.standby_kw)
                 actions[device] = a

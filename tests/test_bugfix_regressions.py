@@ -324,7 +324,7 @@ class TestActionDrawRuleSingleSource:
         from repro.core.controller import DeviceNominals, OnlineController
 
         # Persistence-only forecaster: window longer than any trace we
-        # stream, so forecast_block never calls predict().
+        # stream, so forecast_block never runs the model.
         fake = SimpleNamespace(window=10**6, horizon=self.HORIZON, n_extra=0)
         return OnlineController(
             forecasters={"tv": fake},

@@ -11,7 +11,9 @@ from repro.forecast import (
     SVRForecaster,
     make_forecaster,
 )
+from repro.forecast.base import Forecaster
 from repro.forecast.registry import register_forecaster
+from repro.serve.snapshot import _freeze_tree
 
 WINDOW, HORIZON, EXTRA = 8, 4, 2
 
@@ -211,3 +213,113 @@ class TestRegistry:
             assert isinstance(f, LinearRegressionForecaster)
         finally:
             del FORECASTERS["lr_test_custom"]
+
+
+# ----------------------------------------------------------------------
+# predict_rows: the serving form of predict
+ROW_MODELS = [(name, {}) for name in sorted(FORECASTERS)] + [
+    ("lstm", {"n_layers": 2}),
+]
+
+
+def trained(name, n_extra, **extra_kwargs):
+    kwargs = {} if name == "lr" else {"seed": 0, "epochs": 3}
+    if name == "lstm":
+        kwargs["hidden_size"] = 8
+    kwargs.update(extra_kwargs)
+    f = make_forecaster(name, WINDOW, HORIZON, n_extra=n_extra, **kwargs)
+    rng = np.random.default_rng(2)
+    f.fit(rng.uniform(0, 1.2, (40, WINDOW + n_extra)), rng.uniform(0, 1, (40, HORIZON)))
+    return f
+
+
+def tree_state(obj, path="model", out=None, seen=None):
+    """Every attribute reachable from *obj*: path -> (identity, array bytes)."""
+    out = {} if out is None else out
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return out
+    seen.add(id(obj))
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, (list, tuple)):
+        items = enumerate(obj)
+    elif hasattr(obj, "__dict__"):
+        items = vars(obj).items()
+    else:
+        return out
+    for key, value in items:
+        sub = f"{path}.{key}"
+        out[sub] = (id(value), value.tobytes() if isinstance(value, np.ndarray) else None)
+        tree_state(value, sub, out, seen)
+    return out
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+@pytest.mark.parametrize("n_extra", [0, EXTRA])
+@pytest.mark.parametrize("name,kwargs", ROW_MODELS,
+                         ids=[n + "".join(f"-{k}{v}" for k, v in kw.items())
+                              for n, kw in ROW_MODELS])
+class TestPredictRows:
+    """Row i of predict_rows(X) is predict(X[i:i+1])[0], bit for bit."""
+
+    @pytest.mark.parametrize("batch", [1, 2, 7, 96])
+    def test_rows_bitwise_equal_batch_of_one(self, name, kwargs, n_extra, batch):
+        f = trained(name, n_extra, **kwargs)
+        X = np.random.default_rng(batch).uniform(0, 1.2, (batch, WINDOW + n_extra))
+        out = f.predict_rows(X)
+        assert out.shape == (batch, HORIZON)
+        for i in range(batch):
+            np.testing.assert_array_equal(bits(out[i]), bits(f.predict(X[i : i + 1])[0]))
+
+    def test_writes_no_attribute(self, name, kwargs, n_extra):
+        f = trained(name, n_extra, **kwargs)
+        X = np.random.default_rng(0).uniform(0, 1.2, (5, WINDOW + n_extra))
+        before = tree_state(f)
+        f.predict_rows(X)
+        assert tree_state(f) == before
+
+    def test_runs_on_a_frozen_model(self, name, kwargs, n_extra):
+        f = trained(name, n_extra, **kwargs)
+        X = np.random.default_rng(0).uniform(0, 1.2, (7, WINDOW + n_extra))
+        expected = f.predict_rows(X)
+        _freeze_tree(f, set())
+        np.testing.assert_array_equal(bits(f.predict_rows(X)), bits(expected))
+
+
+class TestPredictRowsDefault:
+    def test_custom_forecaster_answers_row_by_row(self):
+        """A forecaster that only implements predict gets a correct
+        predict_rows from the base class."""
+
+        class Gemm(Forecaster):
+            name = "gemm_test"
+
+            def __init__(self, window, horizon, n_extra=0):
+                super().__init__(window, horizon, n_extra)
+                self.W = np.random.default_rng(0).normal(size=(self.input_dim, horizon))
+
+            def fit(self, X, y):
+                return 0.0
+
+            def predict(self, X):
+                return self._check_X(X) @ self.W
+
+            def get_weights(self):
+                return [self.W.copy()]
+
+            def set_weights(self, weights):
+                self.W = np.asarray(weights[0]).copy()
+
+            def clone(self):
+                return Gemm(self.window, self.horizon, self.n_extra)
+
+        f = Gemm(WINDOW, HORIZON, EXTRA)
+        X = np.random.default_rng(1).uniform(0, 1.2, (96, WINDOW + EXTRA))
+        out = f.predict_rows(X)
+        for i in range(len(X)):
+            np.testing.assert_array_equal(bits(out[i]), bits(f.predict(X[i : i + 1])[0]))
+        assert f.predict_rows(X[:0]).shape == (0, HORIZON)

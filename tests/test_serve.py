@@ -3,9 +3,10 @@
 Pins the subsystem's three contracts:
 
 1. **Equivalence** — a batch answered by the engine is bit-identical
-   (per-minute actions) to streaming the same readings through an
-   :class:`OnlineController` rebuilt *independently* from the same
-   checkpoint state.
+   (per-minute actions and forecasts) to streaming the same readings
+   through an :class:`OnlineController` rebuilt *independently* from
+   the same checkpoint state, and a query answers the same alone as in
+   any batch — for LR and LSTM forecasters alike.
 2. **Immutability** — every array a snapshot exposes is read-only;
    in-place writes raise.
 3. **Hot-swap** — swapping to a republished (identical) checkpoint
@@ -19,7 +20,13 @@ import threading
 import numpy as np
 import pytest
 
-from repro.config import DataConfig, DQNConfig, ForecastConfig, PFDRLConfig
+from repro.config import (
+    DataConfig,
+    DQNConfig,
+    FederationConfig,
+    ForecastConfig,
+    PFDRLConfig,
+)
 from repro.core import OnlineController, PFDRLSystem
 from repro.federated.dfl import DFLClient
 from repro.persist import CheckpointError, CheckpointStore
@@ -49,6 +56,19 @@ CFG = PFDRLConfig(
 )
 
 
+LSTM_CFG = PFDRLConfig(
+    data=DataConfig(
+        n_residences=2, n_days=2, minutes_per_day=240,
+        device_types=("tv", "light"), seed=3,
+    ),
+    forecast=ForecastConfig(model="lstm", window=10, horizon=10, hidden_size=4),
+    dqn=DQNConfig(n_hidden_layers=2, hidden_width=8, learn_every=8),
+    federation=FederationConfig(alpha=1, beta_hours=6, gamma_hours=6),
+    episodes=1,
+    seed=3,
+)
+
+
 @pytest.fixture(scope="module")
 def served(tmp_path_factory):
     """One trained + checkpointed system, loaded as a snapshot."""
@@ -59,8 +79,66 @@ def served(tmp_path_factory):
     return store, snapshot
 
 
+@pytest.fixture(scope="module")
+def served_lstm(tmp_path_factory):
+    """A small LSTM-forecaster system, loaded as a snapshot."""
+    root = tmp_path_factory.mktemp("serve-store-lstm")
+    store = CheckpointStore(str(root), keep_last=2)
+    PFDRLSystem(LSTM_CFG).run(checkpoint_store=store)
+    return store, ModelSnapshot.load(store, LSTM_CFG)
+
+
 def fresh_queries(n=6, seed=5):
     return make_queries(CFG, n, seed=seed)
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+def controller_trace(snapshot, query):
+    """Per-device (actions, forecasts) of a fresh per-request controller."""
+    controller = snapshot.controller(query.residence_id, t0=query.t0)
+    devices = list(query.readings)
+    actions = {d: [] for d in devices}
+    forecasts = {d: [] for d in devices}
+    n = len(query.readings[devices[0]])
+    for i in range(n):
+        step = controller.observe_minute(
+            {d: float(query.readings[d][i]) for d in devices}
+        )
+        for d in devices:
+            actions[d].append(step[d])
+            # The forecast minute i was decided against.
+            pos = controller._forecast_pos[d] - 1
+            forecasts[d].append(controller._pending_forecast[d][pos])
+    return (
+        {d: np.asarray(a) for d, a in actions.items()},
+        {d: np.asarray(f) for d, f in forecasts.items()},
+    )
+
+
+def assert_same_answer(a, b):
+    assert a.residence_id == b.residence_id
+    assert set(a.actions) == set(b.actions)
+    for device in a.actions:
+        np.testing.assert_array_equal(a.actions[device], b.actions[device])
+        np.testing.assert_array_equal(
+            bits(a.predicted_kw[device]), bits(b.predicted_kw[device])
+        )
+        np.testing.assert_array_equal(
+            bits(a.controlled_kw[device]), bits(b.controlled_kw[device])
+        )
+    assert a.saved_kwh == b.saved_kwh
+
+
+def assert_matches_controller(snapshot, query, answer):
+    actions, forecasts = controller_trace(snapshot, query)
+    for device in query.readings:
+        np.testing.assert_array_equal(actions[device], answer.actions[device])
+        np.testing.assert_array_equal(
+            bits(forecasts[device]), bits(answer.predicted_kw[device])
+        )
 
 
 class TestSnapshotLoad:
@@ -139,12 +217,45 @@ class TestEquivalence:
         _, snapshot = served
         engine = ServingEngine(snapshot)
         query = fresh_queries(1, seed=9)[0]
-        answer = engine.answer(query)
-        controller = snapshot.controller(query.residence_id, t0=query.t0)
-        per_minute = controller.run_trace(dict(query.readings))
-        for device in query.readings:
-            serial = np.asarray([m[device] for m in per_minute])
-            assert np.array_equal(serial, answer.actions[device])
+        assert_matches_controller(snapshot, query, engine.answer(query))
+
+    def test_lstm_batch_matches_controller_forecasts(self, served_lstm):
+        """LSTM forecasts in a batch are the controller's, bit for bit."""
+        _, snapshot = served_lstm
+        queries = make_queries(LSTM_CFG, 8, seed=4)
+        answers = ServingEngine(snapshot).answer_batch(queries)
+        for query, answer in zip(queries, answers):
+            assert_matches_controller(snapshot, query, answer)
+
+    @pytest.mark.parametrize(
+        "fixture,config",
+        [("served", CFG), ("served_lstm", LSTM_CFG)],
+        ids=["lr", "lstm"],
+    )
+    def test_mixed_batch_equals_each_query_alone(self, fixture, config, request):
+        """Residences, phases and trace lengths mixed in one batch:
+        shorter than the lag window (persistence only), not a multiple
+        of the horizon, and wrapping past midnight."""
+        _, snapshot = request.getfixturevalue(fixture)
+        window = config.forecast.window
+        minutes_per_day = config.data.minutes_per_day
+        base = make_queries(config, 4, seed=21)
+        cut = [None, window - 3, 37, None]
+        phases = [base[0].t0, 0, minutes_per_day - 7, 120]
+        queries = [
+            ScheduleQuery(
+                residence_id=q.residence_id,
+                readings={d: r[:n] for d, r in q.readings.items()},
+                t0=t0,
+            )
+            for q, n, t0 in zip(base, cut, phases)
+        ]
+        assert len({q.residence_id for q in queries}) > 1
+        engine = ServingEngine(snapshot)
+        batched = engine.answer_batch(queries)
+        for query, answer in zip(queries, batched):
+            assert_same_answer(engine.answer(query), answer)
+            assert_matches_controller(snapshot, query, answer)
 
     def test_controlled_power_semantics(self, served):
         _, snapshot = served
