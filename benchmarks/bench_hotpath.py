@@ -1,4 +1,4 @@
-"""Hot-path benchmark: stacked/pooled EMS training vs the serial oracles.
+"""Hot-path benchmark: the stacked training paths vs their serial oracles.
 
 Standalone (no pytest-benchmark dependency) so CI can run it with the
 tier-1 package set:
@@ -22,13 +22,21 @@ batched engine's scaling):
     running the engine over a zero-copy shared-memory view of the
     parameter arena; per-segment IPC is bounds out, rewards and
     counters back — no weight pickling in either direction
-    (bit-identical to the oracle — asserted).
+    (bit-identical to the oracle — asserted);
+- one DFL day of LSTM forecasters, two ways, timed by the trainer's own
+  ``dfl.local`` telemetry timer:
+  * per-model oracle: each (residence, device) model fits alone with
+    its own minibatch loop (``tests/forecast_oracle.py``);
+  * stacked (the trainer's path): every model of a local interval
+    trains in one ``LSTMForecaster.fit_many`` pass (bit-identical to
+    the oracle — asserted on every weight).
 
-Speedup floors (``--min-batched-speedup`` / ``--min-parallel-speedup``,
-default 1.0) make CI fail if either path regresses below the serial
-oracle.  The committed ``BENCH_hotpath.json`` records the
-achieved numbers plus environment metadata (numpy version, CPU count)
-so a regression can be told apart from a slower machine.
+Speedup floors (``--min-batched-speedup`` / ``--min-parallel-speedup``
+/ ``--min-forecast-speedup``, default 1.0) make CI fail if a path
+regresses below its serial oracle.  The committed ``BENCH_hotpath.json``
+records the achieved numbers plus environment metadata (numpy version,
+CPU count, git SHA) so a regression can be told apart from a slower
+machine.
 """
 
 from __future__ import annotations
@@ -47,11 +55,15 @@ sys.path.insert(0, str(ROOT))  # the serial oracles live in tests/
 
 import numpy as np  # noqa: E402
 
-from repro.config import DQNConfig, FederationConfig  # noqa: E402
+from benchmarks.bench_serve import git_sha  # noqa: E402
+from repro.config import DQNConfig, FederationConfig, ForecastConfig  # noqa: E402
 from repro.core.pfdrl import PFDRLTrainer  # noqa: E402
 from repro.core.streams import build_streams  # noqa: E402
 from repro.data import generate_neighborhood  # noqa: E402
+from repro.federated.dfl import DFLTrainer  # noqa: E402
+from repro.obs.telemetry import Telemetry  # noqa: E402
 from tests.ems_oracle import SerialTrainer, serial_evaluate  # noqa: E402
+from tests.forecast_oracle import OracleDFLTrainer  # noqa: E402
 
 
 def make_trainer(streams, args, trainer_cls=PFDRLTrainer, **kwargs):
@@ -77,6 +89,30 @@ def timed(fn, repeats: int = 1):
         result = fn()
         best = min(best, time.perf_counter() - t0)
     return best, result
+
+
+def dfl_day(dataset, trainer_cls):
+    """One LSTM DFL day; (``dfl.local`` seconds, trainer)."""
+    tel = Telemetry()
+    trainer = trainer_cls(
+        dataset,
+        # The perfbench pipeline_lstm geometry (window = horizon = 10).
+        forecast_config=ForecastConfig(model="lstm", window=10, horizon=10),
+        federation_config=FederationConfig(beta_hours=6.0),
+        seed=0,
+        telemetry=tel,
+    )
+    trainer.run_day()
+    return tel.stopwatch.total("dfl.local"), trainer
+
+
+def forecasters_equal(a, b) -> bool:
+    return all(
+        np.array_equal(wa, wb)
+        for ca, cb in zip(a.clients, b.clients)
+        for device in ca.device_types
+        for wa, wb in zip(ca.get_weights(device), cb.get_weights(device))
+    )
 
 
 def evaluations_equal(a, b) -> bool:
@@ -108,10 +144,14 @@ def main(argv=None) -> int:
     # converge, which is a property of the geometry, not a regression.
     p.add_argument("--hidden-width", type=int, default=24)
     p.add_argument("--workers", type=int, default=2)
-    p.add_argument("--repeats", type=int, default=2, help="eval timing repeats")
+    p.add_argument(
+        "--repeats", type=int, default=2,
+        help="timing repeats of the eval and forecaster rows",
+    )
     p.add_argument("--min-eval-speedup", type=float, default=5.0)
     p.add_argument("--min-batched-speedup", type=float, default=1.0)
     p.add_argument("--min-parallel-speedup", type=float, default=1.0)
+    p.add_argument("--min-forecast-speedup", type=float, default=1.0)
     p.add_argument("--out", default="BENCH_hotpath.json")
     args = p.parse_args(argv)
 
@@ -162,6 +202,30 @@ def main(argv=None) -> int:
         f"{args.min_parallel_speedup}x floor"
     )
 
+    # --- DFL day of LSTM forecasters: per-model oracle vs stacked -----
+    # Best of --repeats rounds; the side that runs first alternates per
+    # round so run order and warm-up favour neither.
+    t_fc_oracle = t_fc_stacked = float("inf")
+    for rnd in range(args.repeats):
+        for trainer_cls in (OracleDFLTrainer, DFLTrainer)[:: -1 if rnd % 2 else 1]:
+            t, trainer = dfl_day(dataset, trainer_cls)
+            if trainer_cls is DFLTrainer:
+                t_fc_stacked, fc_stacked = min(t_fc_stacked, t), trainer
+            else:
+                t_fc_oracle, fc_oracle = min(t_fc_oracle, t), trainer
+    assert forecasters_equal(fc_oracle, fc_stacked), (
+        "stacked forecaster weights diverged from the per-model oracle"
+    )
+    forecast_speedup = t_fc_oracle / t_fc_stacked
+    print(
+        f"dfl.local : per-model {t_fc_oracle:.2f}s | "
+        f"stacked {t_fc_stacked:.2f}s ({forecast_speedup:.2f}x, bit-identical)"
+    )
+    assert forecast_speedup >= args.min_forecast_speedup, (
+        f"forecaster speedup {forecast_speedup:.2f}x below the "
+        f"{args.min_forecast_speedup}x floor"
+    )
+
     # --- greedy evaluation: per-step rollout vs vectorized rollout ---
     t_eval_serial, ev_serial = timed(lambda: serial_evaluate(serial), args.repeats)
     t_eval_vec, ev_vec = timed(serial.evaluate, args.repeats)
@@ -183,6 +247,7 @@ def main(argv=None) -> int:
             "numpy": np.__version__,
             "python": platform.python_version(),
             "cpu_count": os.cpu_count(),
+            "git_sha": git_sha(),
         },
         "profile": {
             "residences": args.residences,
@@ -207,6 +272,18 @@ def main(argv=None) -> int:
             "parallel_speedup": round(parallel_speedup, 2),
             "n_workers": args.workers,
             "workers_batched": True,
+            "bit_identical": True,
+        },
+        "forecast_day": {
+            "model": "lstm",
+            "window": 10,
+            "horizon": 10,
+            "beta_hours": 6.0,
+            "models": sum(len(c.device_types) for c in fc_stacked.clients),
+            "per_model_dfl_local_s": round(t_fc_oracle, 4),
+            "stacked_dfl_local_s": round(t_fc_stacked, 4),
+            "dfl_local_speedup": round(forecast_speedup, 2),
+            "timing": f"best of {args.repeats} alternating rounds",
             "bit_identical": True,
         },
     }

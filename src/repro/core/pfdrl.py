@@ -36,6 +36,7 @@ from repro.federated.scheduler import BroadcastScheduler
 from repro.federated.server import CentralServer
 from repro.federated.topology import make_topology
 from repro.metrics.energy import saved_energy_kwh, standby_energy_kwh
+from repro.nn.optim import arena_width
 from repro.obs.telemetry import Telemetry, ensure_telemetry
 from repro.parallel import (
     SharedArena,
@@ -460,11 +461,8 @@ class PFDRLTrainer:
                 shapes: list[tuple[int, ...]] = []
                 for group in self._share_groups:
                     qnet = self._agents[group[0]].qnet
-                    n = len(group)
-                    for lin in qnet._linears:
-                        for _ in range(2):  # online + target stacks
-                            shapes.append((n,) + lin.W.data.shape)
-                            shapes.append((n,) + lin.b.data.shape)
+                    width = arena_width([p.data.shape for p in qnet.parameters()])
+                    shapes += [(len(group), width)] * 2  # online + target arenas
                 self._arena = SharedArena(SharedArena.required_bytes(shapes))
                 allocator = self._arena.alloc
             self._engine = BatchedEpisodeEngine(

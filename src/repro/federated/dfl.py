@@ -41,21 +41,9 @@ from repro.forecast.features import augment_time_features
 from repro.metrics.accuracy import horizon_energy_accuracy
 from repro.nn.serialization import average_weights
 from repro.obs.telemetry import Telemetry, ensure_telemetry
-from repro.parallel import ParallelConfig, parallel_map
 from repro.rng import hash_seed
 
 __all__ = ["DFLClient", "DFLTrainer", "DFLRoundResult"]
-
-
-def _fit_forecaster(task: tuple["Forecaster", "np.ndarray", "np.ndarray"]):
-    """Process-pool worker: fit a forecaster on its prepared pairs.
-
-    Pure function of its arguments (the forecaster carries its own RNG
-    state), so serial and parallel execution produce identical results.
-    """
-    forecaster, X, y = task
-    loss = forecaster.fit(X, y)
-    return loss, forecaster
 
 
 class DFLClient:
@@ -117,8 +105,8 @@ class DFLClient:
         Returns the (X, y) training pairs for all windows whose targets
         start at or after the device's cursor, plus the cursor value that
         consuming them would produce.  Does not mutate the client — the
-        split from :meth:`train_segment` lets a process pool fit the
-        forecasters remotely while the driver owns the cursors.
+        split from :meth:`train_segment` lets the trainer featurise every
+        segment first and then fit same-shape forecasters together.
         """
         series = self.series[device]
         stop = min(stop, series.shape[0])
@@ -216,10 +204,6 @@ class DFLTrainer:
         Model and broadcast settings (β, topology).
     mode:
         ``"decentralized"`` | ``"centralized"`` | ``"local"`` | ``"cloud"``.
-    n_workers:
-        >1 fans the per-(residence, device) local fits out over a process
-        pool between broadcast barriers (the residences are independent
-        there by construction).  Results are bit-identical to serial.
     compressor:
         Optional broadcast compressor (``repro.federated.compression``);
         decentralized-mode payloads pass through a compress/decompress
@@ -242,7 +226,6 @@ class DFLTrainer:
         federation_config: FederationConfig | None = None,
         mode: str = "decentralized",
         seed: int = 0,
-        n_workers: int = 1,
         compressor=None,
         fault_config: FaultConfig | None = None,
         telemetry: Telemetry | None = None,
@@ -285,7 +268,6 @@ class DFLTrainer:
             self.federation_config.beta_hours, dataset.minutes_per_day
         )
         self._minutes_trained = 0
-        self.parallel = ParallelConfig(n_workers=max(1, n_workers))
         self.compressor = compressor
         #: Bytes actually transmitted when a compressor is active.
         self.compressed_bytes = 0
@@ -327,6 +309,7 @@ class DFLTrainer:
         boundaries = [start, *events, stop]
         losses: dict[str, list[float]] = {d: [] for d in self.device_types}
         n_events = 0
+        fit_groups = fit_models = 0
         for lo, hi in zip(boundaries[:-1], boundaries[1:]):
             if hi > lo:
                 with tel.timer("dfl.local"):
@@ -336,7 +319,9 @@ class DFLTrainer:
                             if np.isfinite(loss):
                                 losses[device].append(loss)
                     else:
-                        self._train_interval(lo, hi, losses)
+                        n_groups, n_models = self._train_interval(lo, hi, losses)
+                        fit_groups += n_groups
+                        fit_models += n_models
             if hi in events:
                 round_t0 = tel.now()
                 round_params = self.bus.stats.n_tx_params
@@ -378,6 +363,8 @@ class DFLTrainer:
                 params_tx=self.bus.stats.n_tx_params - params_before,
                 quorum_skips=self.bus.stats.n_quorum_skips - quorum_before,
                 loss=result.mean_train_loss,
+                fit_groups=fit_groups,
+                fit_models=fit_models,
             )
             tel.add_work(
                 "dfl.broadcast",
@@ -428,40 +415,43 @@ class DFLTrainer:
     # ------------------------------------------------------------------
     def _train_interval(
         self, lo: int, hi: int, losses: dict[str, list[float]]
-    ) -> None:
-        """Local fits for every (residence, device), serial or pooled."""
-        tasks: list[tuple[int, str]] = [
-            (ci, device)
-            for ci, client in enumerate(self.clients)
-            for device in client.device_types
-        ]
-        if self.parallel.effective_workers(len(tasks)) <= 1:
-            for ci, device in tasks:
-                loss = self.clients[ci].train_segment(device, lo, hi)
-                if np.isfinite(loss):
-                    losses[device].append(loss)
-            return
+    ) -> tuple[int, int]:
+        """Local fits for every (residence, device), stacked where possible.
 
-        payloads = []
-        cursors = []
-        live: list[tuple[int, str]] = []
-        for ci, device in tasks:
-            client = self.clients[ci]
-            X, y, new_cursor = client.prepare_segment(device, lo, hi)
-            if X.shape[0] == 0:
-                continue
-            payloads.append((client.forecasters[device], X, y))
-            cursors.append(new_cursor)
-            live.append((ci, device))
-        if not payloads:
-            return
-        results = parallel_map(_fit_forecaster, payloads, self.parallel)
-        for (ci, device), new_cursor, (loss, forecaster) in zip(live, cursors, results):
-            client = self.clients[ci]
-            client.forecasters[device] = forecaster
-            client._cursor[device] = new_cursor
-            if np.isfinite(loss):
-                losses[device].append(loss)
+        Every segment is featurised first; forecasters that share a
+        class, a :meth:`~repro.forecast.Forecaster.stack_key` and a
+        sample count then train in one ``fit_many`` call (a recovered
+        agent whose cursor lags lands in a group of its own).  Each
+        model ends exactly as its own ``fit`` would leave it, and the
+        losses are recorded in (residence, device) order.  Returns the
+        number of ``fit_many`` groups and of models fitted.
+        """
+        groups: dict = {}
+        order: list[tuple[str, object, int]] = []  # (device, group key, member)
+        for client in self.clients:
+            for device in client.device_types:
+                X, y, new_cursor = client.prepare_segment(device, lo, hi)
+                if X.shape[0] == 0:
+                    continue
+                client._cursor[device] = new_cursor
+                model = client.forecasters[device]
+                key = model.stack_key()
+                key = (type(model), key, X.shape[0]) if key is not None else len(order)
+                models, Xs, ys = groups.setdefault(key, ([], [], []))
+                order.append((device, key, len(models)))
+                models.append(model)
+                Xs.append(X)
+                ys.append(y)
+        fitted = {
+            key: type(models[0]).fit_many(models, Xs, ys)
+            for key, (models, Xs, ys) in groups.items()
+        }
+        for device, key, k in order:
+            if np.isfinite(fitted[key][k]):
+                losses[device].append(fitted[key][k])
+        self.telemetry.count("dfl.fit_groups", len(groups))
+        self.telemetry.count("dfl.fit_models", len(order))
+        return len(groups), len(order)
 
     # ------------------------------------------------------------------
     def _cloud_train_segment(self, device: str, lo: int, hi: int) -> float:

@@ -16,7 +16,8 @@ class Forecaster(abc.ABC):
     --------
     - ``fit(X, y)`` performs *incremental* training: calling it again
       continues from the current weights (this is what makes federated
-      rounds meaningful).
+      rounds meaningful).  ``fit_many`` fits several models at once,
+      each to exactly the state its own ``fit`` would reach.
     - ``predict(X)`` maps ``(n, window)`` features to ``(n, horizon)``
       predictions.
     - ``predict_rows(X)`` is the serving form of ``predict``: row ``i``
@@ -72,6 +73,28 @@ class Forecaster(abc.ABC):
     @abc.abstractmethod
     def fit(self, X: np.ndarray, y: np.ndarray) -> float:
         """Train incrementally on (X, y); return the final training loss."""
+
+    @classmethod
+    def fit_many(
+        cls, models: list["Forecaster"], Xs: list[np.ndarray], ys: list[np.ndarray]
+    ) -> list[float]:
+        """Fit ``models[i]`` on ``(Xs[i], ys[i])``; the final training losses.
+
+        Each model ends exactly as ``models[i].fit(Xs[i], ys[i])`` would
+        leave it.  This default runs those fits one after another;
+        models that can train together override it with one batched
+        pass over every member sharing a :meth:`stack_key` and a sample
+        count.
+        """
+        return [model.fit(X, y) for model, X, y in zip(models, Xs, ys)]
+
+    def stack_key(self):
+        """Hashable training configuration, or ``None`` to train alone.
+
+        Models of one class with equal keys fitting equally many samples
+        may be passed to one :meth:`fit_many` call.
+        """
+        return None
 
     @abc.abstractmethod
     def predict(self, X: np.ndarray) -> np.ndarray:

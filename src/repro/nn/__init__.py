@@ -8,8 +8,11 @@ math directly on numpy with manual backpropagation:
   layer protocol with cached-forward / explicit-backward.
 - :class:`repro.nn.linear.Linear`, activations, :class:`repro.nn.mlp.MLP`,
   :class:`repro.nn.lstm.LSTM` — the layers the paper uses.
+- :class:`repro.nn.lstm.StackedLSTMRegressor` — M same-shape LSTM
+  regressors trained as one on a flat parameter arena.
 - :mod:`repro.nn.losses` — MSE and the Huber loss the paper adopts.
-- :mod:`repro.nn.optim` — SGD (+momentum) and Adam.
+- :mod:`repro.nn.optim` — SGD (+momentum), Adam, and the flat-arena
+  :class:`repro.nn.optim.StackedAdam`.
 - :mod:`repro.nn.serialization` — weight get/set, flattening, and the
   per-layer grouping needed for the paper's α base/personalization split.
 
@@ -22,9 +25,9 @@ from repro.nn.module import Module, Parameter, Sequential
 from repro.nn.linear import Linear, row_matmul
 from repro.nn.activations import Identity, ReLU, Sigmoid, Tanh
 from repro.nn.mlp import MLP
-from repro.nn.lstm import LSTM, LSTMRegressor
+from repro.nn.lstm import LSTM, LSTMRegressor, StackedLSTMRegressor
 from repro.nn.losses import HuberLoss, Loss, MSELoss
-from repro.nn.optim import SGD, Adam, Optimizer
+from repro.nn.optim import SGD, Adam, Optimizer, StackedAdam
 from repro.nn.serialization import (
     average_weights,
     clone_weights,
@@ -50,12 +53,14 @@ __all__ = [
     "MLP",
     "LSTM",
     "LSTMRegressor",
+    "StackedLSTMRegressor",
     "Loss",
     "MSELoss",
     "HuberLoss",
     "Optimizer",
     "SGD",
     "Adam",
+    "StackedAdam",
     "get_weights",
     "set_weights",
     "clone_weights",

@@ -23,18 +23,44 @@ import numpy as np
 from repro.nn.init import orthogonal, xavier_uniform
 from repro.nn.linear import Linear, row_matmul
 from repro.nn.module import Module, Parameter
+from repro.nn.optim import arena_width, carve
 from repro.rng import as_generator, spawn
 
-__all__ = ["LSTM", "LSTMRegressor"]
+__all__ = ["LSTM", "LSTMRegressor", "StackedLSTMRegressor"]
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Overflow-free logistic: ``1/(1+e)`` for ``x >= 0``, ``e/(1+e)`` below.
+
+    ``e = exp(-|x|)`` never overflows.  The numerator is picked without
+    a mask or a branch: ``max(x >= 0, e)`` is ``1.0`` for ``x >= 0`` and
+    ``e`` (which is <= 1) below, so each element gets exactly the
+    division of the two-branch form (NaN stays NaN).  A per-element
+    ``np.where`` select cost more than the whole arithmetic here.
+    """
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    num = (x >= 0).astype(np.float64)
+    np.maximum(num, e, out=num)
+    e += 1.0
+    num /= e
+    return num
+
+
+def _cell(z: np.ndarray, c_prev: np.ndarray, H: int) -> tuple[np.ndarray, ...]:
+    """Gates and new state from the pre-activations ``z`` of one step.
+
+    ``z`` is ``(..., 4H)`` in ``[i | f | g | o]`` layout.  Returns
+    ``(i, f, g, o, c, tanh(c), h)``.
+    """
+    i = _sigmoid(z[..., :H])
+    f = _sigmoid(z[..., H : 2 * H])
+    g = np.tanh(z[..., 2 * H : 3 * H])
+    o = _sigmoid(z[..., 3 * H :])
+    c = f * c_prev + i * g
+    tc = np.tanh(c)
+    return i, f, g, o, c, tc, o * tc
 
 
 class LSTM(Module):
@@ -84,20 +110,6 @@ class LSTM(Module):
             )
         return x
 
-    def _cell(self, z: np.ndarray, c_prev: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Gates and new state from the pre-activations ``z`` of one step.
-
-        Returns ``(i, f, g, o, c, tanh(c), h)``.
-        """
-        H = self.hidden_size
-        i = _sigmoid(z[:, :H])
-        f = _sigmoid(z[:, H : 2 * H])
-        g = np.tanh(z[:, 2 * H : 3 * H])
-        o = _sigmoid(z[:, 3 * H :])
-        c = f * c_prev + i * g
-        tc = np.tanh(c)
-        return i, f, g, o, c, tc, o * tc
-
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = self._check_input(x)
         B, T, _ = x.shape
@@ -110,7 +122,7 @@ class LSTM(Module):
         for t in range(T):
             z = x[:, t, :] @ self.Wx.data + h @ self.Wh.data + self.b.data
             c_prev, h_prev = c, h
-            i, f, g, o, c, tc, h = self._cell(z, c_prev)
+            i, f, g, o, c, tc, h = _cell(z, c_prev, H)
             hs[:, t, :] = h
             cache_steps.append((i, f, g, o, c_prev, tc, h_prev))
         self._cache = {"x": x, "steps": cache_steps, "B": B, "T": T}
@@ -135,7 +147,7 @@ class LSTM(Module):
                 + row_matmul(h, self.Wh.data)
                 + self.b.data
             )
-            _, _, _, _, c, _, h = self._cell(z, c)
+            _, _, _, _, c, _, h = _cell(z, c, self.hidden_size)
             hs.append(h)
         return np.stack(hs, axis=1) if self.return_sequences else h
 
@@ -252,3 +264,123 @@ class LSTMRegressor(Module):
         for layer in reversed(self.layers):
             grad = layer.backward(grad)
         return grad
+
+
+class StackedLSTMRegressor:
+    """M same-shape :class:`LSTMRegressor`\\ s trained as one.
+
+    The members' parameters are gathered into one ``(M, P)`` arena
+    (row ``i`` = member ``i`` in its parameter order, see
+    :func:`repro.nn.optim.carve`); the per-layer ``(M, F, 4H)``,
+    ``(M, H, 4H)``, ``(M, 4H)`` and head stacks are views of it, and
+    :meth:`scatter` writes the arena back into the members.
+
+    :meth:`forward` / :meth:`backward` take member ``i``'s minibatch in
+    row ``i`` of ``(M, B, ...)`` inputs and run one broadcast ``matmul``
+    per gate product over the stacked axis.  Each item of
+    ``(M, B, d) @ (M, d, h)`` is computed exactly as the serial
+    ``(B, d) @ (d, h)`` product, and every elementwise expression and
+    reduction is the serial one in the serial order, so row ``i`` of the
+    gradients is bit-identical to ``LSTMRegressor.backward`` on member
+    ``i`` alone.
+    """
+
+    def __init__(self, models: list[LSTMRegressor]) -> None:
+        if not models:
+            raise ValueError("need at least one model to stack")
+        self.shapes = [p.data.shape for p in models[0].parameters()]
+        self.models = list(models)
+        self.hidden_size = models[0].layers[0].hidden_size
+        self.n_layers = models[0].n_layers
+        self.flat = np.empty((len(models), arena_width(self.shapes)))
+        self._views = carve(self.flat, self.shapes)
+        for view, params in zip(self._views, self._member_params()):
+            for i, param in enumerate(params):
+                view[i] = param.data
+        self._cache: tuple | None = None
+
+    def _member_params(self):
+        """Per parameter slot, the members' parameters in row order."""
+        return zip(*(model.parameters() for model in self.models))
+
+    def scatter(self) -> None:
+        """Copy the arena back into the members' parameters (in place)."""
+        for view, params in zip(self._views, self._member_params()):
+            for i, param in enumerate(params):
+                param.data[...] = view[i]
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """``(M, B, T, F) -> (M, B, out_dim)``, caching for :meth:`backward`."""
+        H = self.hidden_size
+        M, B, T, _ = x.shape
+        layers = []
+        for j in range(self.n_layers):
+            Wx, Wh, b = self._views[3 * j : 3 * j + 3]
+            top = j == self.n_layers - 1
+            h = np.zeros((M, B, H))
+            c = np.zeros((M, B, H))
+            hs = None if top else np.zeros((M, B, T, H))
+            steps = []
+            for t in range(T):
+                z = np.matmul(x[:, :, t, :], Wx) + np.matmul(h, Wh) + b[:, None, :]
+                c_prev, h_prev = c, h
+                i, f, g, o, c, tc, h = _cell(z, c_prev, H)
+                if hs is not None:
+                    hs[:, :, t, :] = h
+                steps.append((i, f, g, o, c_prev, tc, h_prev))
+            layers.append((x, steps))
+            x = hs
+        W, b = self._views[-2:]
+        self._cache = (layers, h)
+        return np.matmul(h, W) + b[:, None, :]
+
+    def backward(self, grad: np.ndarray, out: list[np.ndarray]) -> None:
+        """Accumulate the gradients of the cached pass into *out*.
+
+        *out* holds ``(M, *shape)`` views in parameter order (e.g.
+        :meth:`repro.nn.optim.StackedAdam.grad_views`); like
+        ``Parameter.grad`` they are added to, so zero them first.  The
+        input gradient of the bottom layer is not needed and not formed.
+        """
+        if self._cache is None:
+            raise RuntimeError("backward called before forward")
+        layers, h_top = self._cache
+        self._cache = None
+        W = self._views[-2]
+        out[-2] += np.matmul(np.swapaxes(h_top, 1, 2), grad)
+        out[-1] += grad.sum(axis=1)
+        grad = np.matmul(grad, np.swapaxes(W, 1, 2))
+        for j in reversed(range(self.n_layers)):
+            x, steps = layers[j]
+            Wx, Wh, _ = self._views[3 * j : 3 * j + 3]
+            gWx, gWh, gb = out[3 * j : 3 * j + 3]
+            top = j == self.n_layers - 1
+            dh_seq = None if top else grad
+            dh_next = grad if top else np.zeros_like(steps[0][4])
+            dc_next = np.zeros_like(steps[0][4])
+            dx = None if j == 0 else np.zeros_like(x)
+            for t in range(len(steps) - 1, -1, -1):
+                i, f, g, o, c_prev, tc, h_prev = steps[t]
+                dh = dh_next + (dh_seq[:, :, t, :] if dh_seq is not None else 0.0)
+                do = dh * tc
+                dc = dh * o * (1.0 - tc**2) + dc_next
+                di = dc * g
+                df = dc * c_prev
+                dg = dc * i
+                dc_next = dc * f
+                dz = np.concatenate(
+                    [
+                        di * i * (1.0 - i),
+                        df * f * (1.0 - f),
+                        dg * (1.0 - g**2),
+                        do * o * (1.0 - o),
+                    ],
+                    axis=2,
+                )
+                gWx += np.matmul(np.swapaxes(x[:, :, t, :], 1, 2), dz)
+                gWh += np.matmul(np.swapaxes(h_prev, 1, 2), dz)
+                gb += dz.sum(axis=1)
+                if dx is not None:
+                    dx[:, :, t, :] = np.matmul(dz, np.swapaxes(Wx, 1, 2))
+                dh_next = np.matmul(dz, np.swapaxes(Wh, 1, 2))
+            grad = dx

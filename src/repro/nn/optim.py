@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.nn.module import Parameter
 
-__all__ = ["Optimizer", "SGD", "Adam", "StackedAdam"]
+__all__ = ["Optimizer", "SGD", "Adam", "StackedAdam", "arena_spans", "arena_width", "carve"]
 
 
 class Optimizer:
@@ -150,26 +150,70 @@ class Adam(Optimizer):
         self._t = int(state["t"])
 
 
-class StackedAdam:
-    """Moment arena + row-batched step over N member :class:`Adam`\\ s.
+def arena_spans(shapes) -> list[tuple[int, int]]:
+    """Column span ``(lo, hi)`` of each parameter in a flat arena row.
 
-    Companion to :class:`repro.rl.batch.StackedQNet`: the members'
-    ``_m`` / ``_v`` slot arrays are rebound (value-preserving) to views
-    of stacked ``(N, *shape)`` tensors, so a member's own
-    ``load_state_dict`` (which copies in place) keeps the stack current,
-    and one vectorised :meth:`step` updates any subset of members at
-    once.
+    Parameter ``k`` occupies the ``k``-th consecutive column block, in
+    parameter order; this is the one place that layout is decided.
+    """
+    spans = []
+    offset = 0
+    for shape in shapes:
+        size = int(np.prod(shape, dtype=np.int64))
+        spans.append((offset, offset + size))
+        offset += size
+    return spans
+
+
+def arena_width(shapes) -> int:
+    """Columns of a flat arena holding one parameter list per row."""
+    spans = arena_spans(shapes)
+    return spans[-1][1] if spans else 0
+
+
+def carve(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Per-parameter ``(rows, *shape)`` views of a 2-D flat arena.
+
+    Row ``i`` of view ``k`` is model ``i``'s ``k``-th parameter as one
+    contiguous block (see :func:`arena_spans`), and the views of a row
+    slice ``flat[lo:hi]`` are the row slices of the full views.
+    """
+    spans = arena_spans(shapes)
+    width = spans[-1][1] if spans else 0
+    if width != flat.shape[1]:
+        raise ValueError(f"arena has {flat.shape[1]} columns, parameters need {width}")
+    rows = flat.shape[0]
+    return [
+        flat[:, lo:hi].reshape((rows,) + tuple(shape))
+        for (lo, hi), shape in zip(spans, shapes)
+    ]
+
+
+class StackedAdam:
+    """Row-batched Adam over N member :class:`Adam`\\ s on one flat arena.
+
+    ``params`` is an ``(N, P)`` arena whose row ``i`` holds member
+    ``i``'s parameters in its parameter order (see :func:`carve`).  The
+    first and second moments and the gradients live in ``(N, P)``
+    arrays of the same layout, so one :meth:`step` is a fixed handful
+    of in-place ufunc calls over whole rows, whatever the number of
+    parameter arrays.  Callers write gradients into :meth:`grad_views`.
+
+    The members' ``_m`` / ``_v`` slot arrays are rebound
+    (value-preserving) to views of the moment arena, so a member's own
+    ``load_state_dict`` / ``state_dict`` (which copy in place / out)
+    see the stack, and a later stack copies from them and rebinds.
 
     Bitwise contract: for each selected row, :meth:`step` performs the
     exact operation sequence of the member's serial ``Adam.step`` —
-    per-row global-norm clip accumulated in parameter order, bias
-    corrections computed with Python-float ``beta ** t`` (binary
-    pow differs from ``np.power`` in the last ulp for some inputs),
-    and the same elementwise update expression — so a stacked step is
+    global-norm clip summed per parameter in parameter order, bias
+    corrections computed with Python-float ``beta ** t`` (binary pow
+    differs from ``np.power`` in the last ulp for some inputs), and the
+    same elementwise update expression — so a stacked step is
     bit-identical to N serial steps.
     """
 
-    def __init__(self, optimizers: list[Adam]) -> None:
+    def __init__(self, optimizers: list[Adam], params: np.ndarray) -> None:
         if not optimizers:
             raise ValueError("need at least one optimizer to stack")
         ref = optimizers[0]
@@ -185,19 +229,29 @@ class StackedAdam:
                 or any(a.shape != b.shape for a, b in zip(opt._m, ref._m))
             ):
                 raise ValueError("all stacked optimizers must share one config")
+        n = len(optimizers)
+        self.shapes = [m.shape for m in ref._m]
+        self._spans = arena_spans(self.shapes)
+        width = self._spans[-1][1]
+        if params.shape != (n, width):
+            raise ValueError(f"expected a ({n}, {width}) arena, got {params.shape}")
         self.optimizers = list(optimizers)
         self.lr = ref.lr
         self.beta1, self.beta2, self.eps = ref.beta1, ref.beta2, ref.eps
         self.clip_norm = ref.clip_norm
-        #: (N, *param_shape) first/second-moment stacks, one per parameter.
-        self._m: list[np.ndarray] = []
-        self._v: list[np.ndarray] = []
-        for k in range(len(ref._m)):
-            self._m.append(np.stack([opt._m[k] for opt in optimizers]))
-            self._v.append(np.stack([opt._v[k] for opt in optimizers]))
-            for i, opt in enumerate(optimizers):
-                opt._m[k] = self._m[k][i]
-                opt._v[k] = self._v[k][i]
+        self.params = params
+        self.m = np.empty((n, width))
+        self.v = np.empty((n, width))
+        for arena, slot in ((self.m, "_m"), (self.v, "_v")):
+            for k, view in enumerate(carve(arena, self.shapes)):
+                for i, opt in enumerate(optimizers):
+                    view[i] = getattr(opt, slot)[k]
+                    getattr(opt, slot)[k] = view[i]
+        self.grad = np.zeros((n, width))
+        # Preallocated scratch: a fresh (N, P) temporary per ufunc costs
+        # more in page faults than the arithmetic at these sizes.
+        self._tmp = np.empty((n, width))
+        self._views: dict[int, list[np.ndarray]] = {}
         self._t = np.array([opt._t for opt in optimizers], dtype=np.int64)
 
     @property
@@ -208,21 +262,30 @@ class StackedAdam:
     def view(cls, parent: "StackedAdam", lo: int, hi: int) -> "StackedAdam":
         """Zero-copy row-slice view over members ``lo:hi`` of *parent*.
 
-        The slice shares the parent's moment arrays (the members stay
-        bound either way), so a forked shard worker's updates land in
-        its copy-on-write pages without any re-stacking.
+        The slice shares the parent's arenas (the members stay bound
+        either way), so a forked shard worker's updates land in its
+        copy-on-write pages without any re-stacking.
         """
         if not 0 <= lo < hi <= parent.n:
             raise ValueError(f"invalid view range [{lo}, {hi}) of {parent.n}")
         sub = cls.__new__(cls)
+        sub.__dict__.update(parent.__dict__)
         sub.optimizers = parent.optimizers[lo:hi]
-        sub.lr = parent.lr
-        sub.beta1, sub.beta2, sub.eps = parent.beta1, parent.beta2, parent.eps
-        sub.clip_norm = parent.clip_norm
-        sub._m = [m[lo:hi] for m in parent._m]
-        sub._v = [v[lo:hi] for v in parent._v]
-        sub._t = parent._t[lo:hi]
+        for name in ("params", "m", "v", "grad", "_tmp", "_t"):
+            setattr(sub, name, getattr(parent, name)[lo:hi])
+        sub._views = {}
         return sub
+
+    def grad_views(self, k: int) -> list[np.ndarray]:
+        """Per-parameter ``(k, *shape)`` views of the first *k* gradient rows.
+
+        :meth:`step` reads the gradient of its ``j``-th selected row
+        from gradient row ``j``.
+        """
+        views = self._views.get(k)
+        if views is None:
+            views = self._views[k] = carve(self.grad[:k], self.shapes)
+        return views
 
     def sync_in(self) -> None:
         """Pull members' step counters (they may have been restored)."""
@@ -234,26 +297,15 @@ class StackedAdam:
         for i, opt in enumerate(self.optimizers):
             opt._t = int(self._t[i])
 
-    def step(
-        self,
-        params: list[np.ndarray],
-        grads: list[np.ndarray],
-        rows: np.ndarray | None = None,
-    ) -> None:
+    def step(self, rows: np.ndarray | None = None) -> None:
         """One Adam step for the selected member rows.
 
-        ``params[k]`` is the full ``(N, *shape)`` stacked parameter for
-        slot ``k`` (same order as the members' parameter lists);
-        ``grads[k]`` carries the selected rows only, shape
-        ``(K, *shape)`` where ``K = len(rows)`` (or ``N`` for
-        ``rows=None``, the all-rows fast path that avoids gather/scatter
-        copies).
+        ``rows=None`` steps every member in place; otherwise the
+        selected rows (unique) are gathered, stepped and scattered
+        back.  Gradients are read from the first ``len(rows)`` rows of
+        :attr:`grad`, in ``rows`` order, and overwritten: the step uses
+        them as scratch.
         """
-        if len(params) != len(self._m) or len(grads) != len(self._m):
-            raise ValueError(
-                f"expected {len(self._m)} param/grad arrays, got "
-                f"{len(params)}/{len(grads)}"
-            )
         full = rows is None
         if full:
             self._t += 1
@@ -262,45 +314,48 @@ class StackedAdam:
             self._t[rows] += 1
             ts = self._t[rows]
         k = len(ts)
-        # Per-row global-norm clip, accumulated in parameter order (the
-        # accumulation order changes the float sum, so it must mirror
-        # the serial loop exactly).
-        if self.clip_norm is None:
-            scale = None
-        else:
+        g = self.grad[:k]
+        tmp = self._tmp[:k]
+        if self.clip_norm is not None:
+            # Per-row global-norm clip, summed per parameter in parameter
+            # order (the accumulation order changes the float sum, so it
+            # must mirror the serial loop exactly).
+            np.multiply(g, g, out=tmp)
             total = np.zeros(k)
-            for g in grads:
-                total += (g.reshape(k, -1) ** 2).sum(axis=1)
+            for lo, hi in self._spans:
+                total += tmp[:, lo:hi].sum(axis=1)
             norm = np.sqrt(total)
-            scale = np.where(
-                (norm <= self.clip_norm) | (norm == 0.0),
-                1.0,
-                self.clip_norm / norm,
-            )
-        # Bias corrections via Python-float pow, one per distinct row t.
-        b1c = np.array([1.0 - self.beta1 ** int(t) for t in ts])
-        b2c = np.array([1.0 - self.beta2 ** int(t) for t in ts])
-        for p, g, m, v in zip(params, grads, self._m, self._v):
-            shape = (k,) + (1,) * (g.ndim - 1)
-            if scale is not None:
-                g = g * scale.reshape(shape)
-            if full:
-                ps, ms, vs = p, m, v
-            else:
-                ps, ms, vs = p[rows], m[rows], v[rows]
-            ms *= self.beta1
-            ms += (1.0 - self.beta1) * g
-            vs *= self.beta2
-            vs += (1.0 - self.beta2) * g * g
-            ps -= (
-                self.lr
-                * (ms / b1c.reshape(shape))
-                / (np.sqrt(vs / b2c.reshape(shape)) + self.eps)
-            )
-            if not full:
-                p[rows] = ps
-                m[rows] = ms
-                v[rows] = vs
+            clip = ~((norm <= self.clip_norm) | (norm == 0.0))
+            if clip.any():
+                scale = np.ones(k)
+                scale[clip] = self.clip_norm / norm[clip]
+                g *= scale[:, None]
+        # Bias corrections via Python-float pow, one per row.
+        b1c = np.array([[1.0 - self.beta1 ** t] for t in ts.tolist()])
+        b2c = np.array([[1.0 - self.beta2 ** t] for t in ts.tolist()])
+        if full:
+            p, m, v = self.params, self.m, self.v
+        else:
+            p, m, v = self.params[rows], self.m[rows], self.v[rows]
+        m *= self.beta1
+        np.multiply(1.0 - self.beta1, g, out=tmp)
+        m += tmp
+        v *= self.beta2
+        np.multiply(1.0 - self.beta2, g, out=tmp)
+        tmp *= g
+        v += tmp
+        # The gradient rows are spent: reuse them as the second scratch.
+        np.divide(m, b1c, out=g)
+        g *= self.lr
+        np.divide(v, b2c, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += self.eps
+        g /= tmp
+        p -= g
+        if not full:
+            self.params[rows] = p
+            self.m[rows] = m
+            self.v[rows] = v
 
 
 def _clip_scale(params: list[Parameter], clip_norm: float | None) -> float:

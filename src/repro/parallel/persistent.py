@@ -1,7 +1,6 @@
 """Persistent, routed worker pool over forked processes.
 
-``concurrent.futures.ProcessPoolExecutor`` (used by
-:func:`repro.parallel.pool.parallel_map`) cannot route a task to a
+``concurrent.futures.ProcessPoolExecutor`` cannot route a task to a
 *specific* worker, so it cannot host workers that own long-lived state
 (agents, replay buffers, engine views).  This module provides the
 missing primitive: N long-lived child processes, each built from a

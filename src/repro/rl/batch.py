@@ -10,18 +10,21 @@ across agents while keeping each agent's arithmetic intact:
   same-architecture Q-networks.  All weight mutations in this codebase
   are in-place (``Adam.step`` subtracts into ``Parameter.data``,
   ``set_weights`` assigns with ``[...]``), so each agent's parameters
-  can be rebound to views of stacked ``(N, in, out)`` tensors: the
-  stacked weights are always current and one broadcast ``matmul`` per
-  minute evaluates every agent at once.  With an ``allocator`` the
-  stacks live in a :class:`repro.parallel.shm.SharedArena`, so forked
-  workers and the parent share the same physical weight pages;
+  can be rebound to views of one flat ``(N, P)`` arena (row ``i`` =
+  agent ``i``'s parameters in order), whose per-layer ``(N, in, out)``
+  views make one broadcast ``matmul`` per layer evaluate every agent
+  at once.  With an ``allocator`` the arena lives in a
+  :class:`repro.parallel.shm.SharedArena`, so forked workers and the
+  parent share the same physical weight pages;
   :meth:`StackedQNet.view` slices a contiguous row range for a worker's
   shard without copying anything.
-- :class:`StackedLearner` — the batched learn step.  Replay rings,
-  Adam moments, and counters are stacked the same way, so one minute
-  of a wave becomes one stacked push + one stacked forward/backward +
-  one :class:`repro.nn.optim.StackedAdam` step for every triggered
-  agent.
+- :class:`StackedLearner` — the batched learn step.  Replay rings and
+  counters are stacked the same way and the Adam moments and gradients
+  live in ``(N, P)`` arrays of the arena's layout, so one minute of a
+  wave becomes one stacked push + one stacked forward/backward (written
+  straight into the gradient rows) + one flat
+  :class:`repro.nn.optim.StackedAdam` step for every triggered agent,
+  and a target sync is one row copy.
 - :class:`BatchedEpisodeEngine` — episode-major stepping over many
   (agent, env) pairs.  Pairs are grouped into occurrence *waves*
   (wave k holds the k-th pair of every agent); each wave plays its
@@ -50,7 +53,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.optim import StackedAdam
+from repro.nn.optim import StackedAdam, arena_width, carve
 from repro.rl.dqn import DQNAgent
 from repro.rl.env import DeviceEnv, apply_actions
 from repro.rl.qnet import build_states
@@ -70,14 +73,14 @@ class StackedQNet:
     """Parameter arena + broadcast-batched forward over N Q-networks.
 
     All member networks must share one architecture.  On construction
-    each network's ``Parameter.data`` is rebound (in place, value-
-    preserving) to a view of the stacked per-layer tensors, so later
-    in-place updates — optimizer steps, federated ``set_weights`` —
-    write straight through to the stack with no copying or syncing.
+    the members' parameters are copied into one ``(N, P)`` arena
+    (:attr:`flat`, carved per parameter by :func:`repro.nn.optim.carve`)
+    and each network's ``Parameter.data`` is rebound to its view, so
+    later in-place updates — optimizer steps, federated ``set_weights``
+    — write straight through to the arena with no copying or syncing.
 
-    ``allocator`` (e.g. ``SharedArena.alloc``) places the stacked
-    tensors in caller-provided memory; the default is private heap
-    arrays via ``np.stack``.
+    ``allocator`` (e.g. ``SharedArena.alloc``) places the arena in
+    caller-provided memory; the default is a private heap array.
     """
 
     def __init__(self, qnets: list, allocator=None) -> None:
@@ -94,35 +97,27 @@ class StackedQNet:
         self.qnets = list(qnets)
         self.in_dim = int(ref.in_dim)
         self.out_dim = int(ref.out_dim)
-        #: (N, fan_in, fan_out) weight and (N, fan_out) bias per layer.
-        self._weights: list[np.ndarray] = []
-        self._biases: list[np.ndarray] = []
-        for j in range(len(ref._linears)):
-            Ws = [qn._linears[j].W.data for qn in qnets]
-            bs = [qn._linears[j].b.data for qn in qnets]
-            if allocator is None:
-                W, b = np.stack(Ws), np.stack(bs)
-            else:
-                W = allocator((len(qnets),) + Ws[0].shape)
-                b = allocator((len(qnets),) + bs[0].shape)
-                np.stack(Ws, out=W)
-                np.stack(bs, out=b)
-            self._weights.append(W)
-            self._biases.append(b)
+        #: Parameter shapes in each member's parameter order (W, b per layer).
+        self.shapes = [p.data.shape for p in ref.parameters()]
+        shape = (len(qnets), arena_width(self.shapes))
+        #: (N, P) arena: row i holds network i's parameters.
+        self.flat = np.empty(shape) if allocator is None else allocator(shape)
+        views = carve(self.flat, self.shapes)
+        for view, params in zip(views, zip(*(qn.parameters() for qn in qnets))):
+            for i, param in enumerate(params):
+                view[i] = param.data
+        #: (N, fan_in, fan_out) weight and (N, fan_out) bias views per layer.
+        self._weights: list[np.ndarray] = views[0::2]
+        self._biases: list[np.ndarray] = views[1::2]
         # numpy collapses view chains to the ultimate owning ndarray, so
-        # a member view's ``.base`` is the stack itself for np.stack
-        # arrays but the arena's flat buffer array for allocator-carved
-        # stacks; record the owner per layer so adoption checks work for
-        # both (and for row-sliced shard views of either).
-        self._wroots = [self._owner(W) for W in self._weights]
-        self._broots = [self._owner(b) for b in self._biases]
+        # a member view's ``.base`` is the arena itself for a heap arena
+        # but the shared buffer's array for an allocator-carved one;
+        # record the owner so adoption checks work for both (and for
+        # row-sliced shard views of either).
+        base = self.flat.base
+        self._root = self.flat if not isinstance(base, np.ndarray) else base
         self._bcache = None
         self._adopt()
-
-    @staticmethod
-    def _owner(arr: np.ndarray):
-        base = arr.base
-        return arr if not isinstance(base, np.ndarray) else base
 
     @property
     def n(self) -> int:
@@ -132,10 +127,10 @@ class StackedQNet:
     def view(cls, parent: "StackedQNet", lo: int, hi: int) -> "StackedQNet":
         """Zero-copy row-slice view over members ``lo:hi`` of *parent*.
 
-        The members stay bound to the parent's stacked arrays (the view
-        shares memory), so training through the view writes straight
-        into the parent arena — this is how forked shard workers train
-        on the shared weight pages.
+        The members stay bound to the parent's arena (the view shares
+        memory), so training through the view writes straight into the
+        parent arena — this is how forked shard workers train on the
+        shared weight pages.
         """
         if not 0 <= lo < hi <= parent.n:
             raise ValueError(f"invalid view range [{lo}, {hi}) of {parent.n}")
@@ -143,10 +138,11 @@ class StackedQNet:
         sub.qnets = parent.qnets[lo:hi]
         sub.in_dim = parent.in_dim
         sub.out_dim = parent.out_dim
+        sub.shapes = parent.shapes
+        sub.flat = parent.flat[lo:hi]
         sub._weights = [W[lo:hi] for W in parent._weights]
         sub._biases = [b[lo:hi] for b in parent._biases]
-        sub._wroots = list(parent._wroots)
-        sub._broots = list(parent._broots)
+        sub._root = parent._root
         sub._bcache = None
         return sub
 
@@ -161,17 +157,16 @@ class StackedQNet:
         """Re-adopt any parameter that was rebound to a fresh array.
 
         Nothing in the repo rebinds ``Parameter.data`` today, but a
-        defensive re-adoption (values copied into the stack, view bound
+        defensive re-adoption (values copied into the arena, view bound
         back) keeps the arena correct if some future code path does.
         """
         for j, (W, b) in enumerate(zip(self._weights, self._biases)):
-            wroot, broot = self._wroots[j], self._broots[j]
             for i, qn in enumerate(self.qnets):
                 lin = qn._linears[j]
-                if lin.W.data.base is not wroot:
+                if lin.W.data.base is not self._root:
                     W[i, ...] = lin.W.data
                     lin.W.data = W[i]
-                if lin.b.data.base is not broot:
+                if lin.b.data.base is not self._root:
                     b[i, ...] = lin.b.data
                     lin.b.data = b[i]
 
@@ -228,33 +223,28 @@ class StackedQNet:
             self._bcache = (xs, masks, sel_w)
         return h
 
-    def backward_batch(
-        self, grad: np.ndarray
-    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    def backward_batch(self, grad: np.ndarray, out: list[np.ndarray]) -> None:
         """Backprop *grad* through the cached :meth:`forward_batch` pass.
 
-        Returns per-layer ``(dW, db)`` stacks for the same rows the
-        forward ran on.  Each row's products mirror the serial
-        ``Linear.backward`` exactly: ``dW = x.T @ g``,
-        ``db = g.sum(axis=0)``, ``dx = g @ W.T`` (broadcast over the
-        stacked axis via ``swapaxes`` views), and the ReLU masks gate
-        the flowing gradient just like ``ReLU.backward``.
+        Writes the per-layer ``dW``, ``db`` stacks for the rows the
+        forward ran on into *out* (views in parameter order, e.g.
+        :meth:`repro.nn.optim.StackedAdam.grad_views`).  Each row's
+        products mirror the serial ``Linear.backward`` exactly:
+        ``dW = x.T @ g``, ``db = g.sum(axis=0)``, ``dx = g @ W.T``
+        (broadcast over the stacked axis via ``swapaxes`` views), and the
+        ReLU masks gate the flowing gradient just like ``ReLU.backward``.
         """
         if self._bcache is None:
             raise RuntimeError("backward_batch called before forward_batch(train=True)")
         xs, masks, sel_w = self._bcache
         self._bcache = None
-        n_layers = len(sel_w)
-        dWs: list[np.ndarray | None] = [None] * n_layers
-        dbs: list[np.ndarray | None] = [None] * n_layers
         g = grad
-        for j in reversed(range(n_layers)):
-            dWs[j] = np.matmul(np.swapaxes(xs[j], 1, 2), g)
-            dbs[j] = g.sum(axis=1)
+        for j in reversed(range(len(sel_w))):
+            np.matmul(np.swapaxes(xs[j], 1, 2), g, out=out[2 * j])
+            np.sum(g, axis=1, out=out[2 * j + 1])
             if j > 0:
                 g = np.matmul(g, np.swapaxes(sel_w[j], 1, 2))
                 g = np.where(masks[j - 1], g, 0.0)
-        return dWs, dbs
 
 
 class _StackedReplay:
@@ -388,7 +378,7 @@ class StackedLearner:
         self.qstack = qstack
         self.tstack = tstack
         self.replay = _StackedReplay([a.replay for a in agents])
-        self.optim = StackedAdam([a.optimizer for a in agents])
+        self.optim = StackedAdam([a.optimizer for a in agents], qstack.flat)
         self._learn_steps = np.array([a.learn_steps for a in agents], dtype=np.int64)
         self._sgd_steps = np.array([a.sgd_steps for a in agents], dtype=np.int64)
         self._observed = np.array([a._observed for a in agents], dtype=np.int64)
@@ -482,24 +472,14 @@ class StackedLearner:
         dchosen = np.where(quad, diff, cfg.huber_delta * np.sign(diff)) / batch
         grad = np.zeros_like(q)
         np.put_along_axis(grad, a[..., None], dchosen[..., None], axis=2)
-        dWs, dbs = self.qstack.backward_batch(grad)
-        params: list[np.ndarray] = []
-        grads: list[np.ndarray] = []
-        for W, b, dW, db in zip(self.qstack._weights, self.qstack._biases, dWs, dbs):
-            params.append(W)
-            grads.append(dW)
-            params.append(b)
-            grads.append(db)
-        self.optim.step(params, grads, rows=sel)
+        self.qstack.backward_batch(grad, out=self.optim.grad_views(len(rows)))
+        self.optim.step(rows=sel)
 
         self._learn_steps[rows] += 1
         self._sgd_steps[rows] += 1
         sync = rows[self._learn_steps[rows] % cfg.target_replace_iter == 0]
         if len(sync):
-            for Wq, Wt in zip(self.qstack._weights, self.tstack._weights):
-                Wt[sync] = Wq[sync]
-            for bq, bt in zip(self.qstack._biases, self.tstack._biases):
-                bt[sync] = bq[sync]
+            self.tstack.flat[sync] = self.qstack.flat[sync]
 
 
 class BatchedEpisodeEngine:

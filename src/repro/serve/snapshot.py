@@ -271,6 +271,7 @@ class ModelSnapshot:
 
     def _freeze(self) -> None:
         """Make every model array read-only — snapshots never mutate."""
+        self.stack.flat.flags.writeable = False
         for arr in self.stack._weights + self.stack._biases:
             arr.flags.writeable = False
         # Member parameter views were carved before the stacks froze, so

@@ -118,8 +118,10 @@ class TestStackedQNet:
         stack = StackedQNet([a.qnet for a in agents])
         for i, agent in enumerate(agents):
             for j, lin in enumerate(agent.qnet._linears):
-                assert lin.W.data.base is stack._weights[j]
-                assert lin.b.data.base is stack._biases[j]
+                assert lin.W.data.base is stack.flat
+                assert lin.b.data.base is stack.flat
+                assert np.shares_memory(lin.W.data, stack._weights[j][i])
+                assert np.shares_memory(lin.b.data, stack._biases[j][i])
 
     def test_ensure_adopted_recovers_rebound_parameter(self, dqn_config):
         agents = self.make_agents(dqn_config, n=2)
@@ -128,7 +130,8 @@ class TestStackedQNet:
         fresh = lin.W.data + 5.0  # standalone array, not an arena view
         lin.W.data = fresh
         stack.ensure_adopted()
-        assert lin.W.data.base is stack._weights[0]
+        assert lin.W.data.base is stack.flat
+        assert np.shares_memory(lin.W.data, stack._weights[0][1])
         np.testing.assert_array_equal(lin.W.data, fresh)
 
     def test_architecture_mismatch_rejected(self, dqn_config):
@@ -185,7 +188,8 @@ class TestBatchedTraining:
         for stack in tr._engine._stacks.values():
             for i, qn in enumerate(stack.qnets):
                 for j, lin in enumerate(qn._linears):
-                    assert lin.W.data.base is stack._weights[j]
+                    assert lin.W.data.base is stack.flat
+                    assert np.shares_memory(lin.W.data, stack._weights[j][i])
         # And the restored trainer replays day 2 identically.
         reference = make_trainer(streams, dqn_config, agent_scope="device")
         reference.run_day()
